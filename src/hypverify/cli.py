@@ -7,15 +7,20 @@ seeded generator whose seed is recorded in the header, and no
 timestamps are emitted, so identical configurations produce
 byte-identical files.  The exit status is 0 exactly when every row
 passes; a report is written even when checks fail or crash (a crashed
-check becomes a NaN row that fails).
+check becomes a NaN row that fails, and its exception is named on
+stderr).
 
 Report schema (CSV column order, same keys in JSON):
 
     check_id, anchor, lhs, rhs, tol, rel_err, pass
 
 ``anchor`` names the mathematical fact the row verifies.  ``rel_err``
-is |lhs - rhs| / max(|rhs|, tiny) for comparison rows and a one-sided
-overshoot for bound rows (zero when the bound holds with margin).
+is |lhs - rhs| / max(|rhs|, tiny) for comparison rows and the one-sided
+overshoot max(0, lhs - rhs) / max(|rhs|, 1) for bound rows.
+
+The checks live in one table (``_check_table``): each entry states its
+suite, the id, kind, tolerance and anchor of every row it yields, and a
+function of (cfg, rng) that returns only the numbers.
 """
 
 from __future__ import annotations
@@ -26,9 +31,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy.interpolate import CubicSpline
+
+from hypverify import exact, geometry, inequalities, kernels, radial, specialfn, spectral
 
 SUITES = (
     "geometry",
@@ -95,7 +104,10 @@ def _cmp_row(check_id, anchor, lhs, rhs, tol) -> CheckRow:
 
 
 def _bound_row(check_id, anchor, lhs, rhs, tol) -> CheckRow:
-    """One-sided row: pass iff lhs <= rhs + tol*|rhs| (overshoot in rel_err)."""
+    """One-sided row: pass iff lhs <= rhs + tol*max(|rhs|, 1).
+
+    rel_err holds the overshoot max(0, lhs - rhs) / max(|rhs|, 1).
+    """
     over = max(0.0, (float(lhs) - float(rhs)) / max(abs(float(rhs)), 1.0))
     return CheckRow(check_id, anchor, float(lhs), float(rhs), tol, over, over <= tol)
 
@@ -104,765 +116,500 @@ def _failed_row(check_id, anchor, tol) -> CheckRow:
     return CheckRow(check_id, anchor, math.nan, math.nan, tol, math.nan, False)
 
 
-def _collect(rows, builder, check_id, anchor, tol):
-    """Run one check builder; a raised exception becomes a failing row."""
-    try:
-        rows.append(builder())
-    except Exception:
-        rows.append(_failed_row(check_id, anchor, tol))
+_BUILDERS = {"cmp": _cmp_row, "bound": _bound_row}
 
 
-# -- suites --------------------------------------------------------------
+@dataclass(frozen=True)
+class Row:
+    """What the report states about one row before anything is computed.
+
+    ``kind`` picks the row builder: "cmp" for a two-sided comparison,
+    "bound" for lhs <= rhs.
+    """
+
+    check_id: str
+    kind: str
+    tol: float
+    anchor: str
 
 
-def _suite_geometry(cfg: RunConfig, rng: np.random.Generator) -> list:
-    from hypverify.geometry import (
-        BallPoint,
-        ball_to_halfspace,
-        geodesic_distance,
-        halfspace_distance,
-        mobius_shift,
-        radius_from_rho,
-        rho_from_radius,
-    )
-    from hypverify.radial import integrate_radial, make_radial_grid
+class Check:
+    """One computation of a suite and the rows it yields.
 
-    rows: list[CheckRow] = []
-    n = cfg.n
+    ``fn(cfg, rng)`` returns the numbers only: lhs, rhs for each row in
+    turn.  If it raises, every row of the check fails with its own
+    anchor and tolerance.
+    """
 
-    def rand_ball(count):
-        v = rng.normal(size=(count, n))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        r = rng.uniform(0.05, 0.85, size=(count, 1))
-        return v * r
+    def __init__(self, suite: str, fn, *rows: Row):
+        self.suite = suite
+        self.fn = fn
+        self.rows = rows
 
-    def model_consistency():
-        pts = rand_ball(32)
-        worst = 0.0
-        for i in range(16):
-            x, y = BallPoint(pts[2 * i]), BallPoint(pts[2 * i + 1])
-            d_ball = geodesic_distance(x, y)
-            d_half = halfspace_distance(ball_to_halfspace(x), ball_to_halfspace(y))
-            worst = max(worst, abs(d_half - d_ball) / max(d_ball, 1e-12))
-        return _bound_row(
-            "geom_model_consistency",
-            "ball and half-space distances agree under the model map",
-            worst,
-            0.0,
-            1e-10,
+
+# -- geometry -------------------------------------------------------------
+
+
+def _rand_ball(rng, count, n):
+    v = rng.normal(size=(count, n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    r = rng.uniform(0.05, 0.85, size=(count, 1))
+    return v * r
+
+
+def _model_consistency(cfg, rng):
+    pts = _rand_ball(rng, 32, cfg.n)
+    worst = 0.0
+    for i in range(16):
+        x, y = geometry.BallPoint(pts[2 * i]), geometry.BallPoint(pts[2 * i + 1])
+        d_ball = geometry.geodesic_distance(x, y)
+        d_half = geometry.halfspace_distance(
+            geometry.ball_to_halfspace(x), geometry.ball_to_halfspace(y)
         )
+        worst = max(worst, abs(d_half - d_ball) / max(d_ball, 1e-12))
+    return worst, 0.0
 
-    _collect(rows, model_consistency, "geom_model_consistency",
-             "ball and half-space distances agree under the model map", 1e-10)
 
-    def shift_invariance():
-        pts = rand_ball(24)
-        worst = 0.0
-        for i in range(8):
-            a, x, y = pts[3 * i], pts[3 * i + 1], pts[3 * i + 2]
-            d0 = geodesic_distance(BallPoint(x), BallPoint(y))
-            d1 = geodesic_distance(
-                BallPoint(mobius_shift(a, x)), BallPoint(mobius_shift(a, y))
-            )
-            worst = max(worst, abs(d1 - d0) / max(d0, 1e-12))
-        return _bound_row(
-            "geom_shift_invariance",
-            "distance is invariant under the hyperbolic translation",
-            worst,
-            0.0,
-            1e-10,
+def _shift_invariance(cfg, rng):
+    pts = _rand_ball(rng, 24, cfg.n)
+    worst = 0.0
+    for i in range(8):
+        a, x, y = pts[3 * i], pts[3 * i + 1], pts[3 * i + 2]
+        d0 = geometry.geodesic_distance(geometry.BallPoint(x), geometry.BallPoint(y))
+        d1 = geometry.geodesic_distance(
+            geometry.BallPoint(geometry.mobius_shift(a, x)),
+            geometry.BallPoint(geometry.mobius_shift(a, y)),
         )
-
-    _collect(rows, shift_invariance, "geom_shift_invariance",
-             "distance is invariant under the hyperbolic translation", 1e-10)
-
-    def shift_centers():
-        pts = rand_ball(8)
-        worst = max(
-            float(np.linalg.norm(mobius_shift(a, a))) for a in pts
-        )
-        return _bound_row(
-            "geom_shift_centers",
-            "the translation by a sends a to the origin",
-            worst,
-            0.0,
-            1e-12,
-        )
-
-    _collect(rows, shift_centers, "geom_shift_centers",
-             "the translation by a sends a to the origin", 1e-12)
-
-    def radius_roundtrip():
-        # past rho ~ 10 the ball radius is within 1e-9 of the boundary
-        # and the inverse map cannot return more than ~8 digits
-        rho = np.geomspace(1e-4, 10.0, 64)
-        back = rho_from_radius(radius_from_rho(rho))
-        return _bound_row(
-            "geom_radius_roundtrip",
-            "rho <-> ball radius conversions invert each other",
-            float(np.max(np.abs(back - rho) / rho)),
-            0.0,
-            1e-12,
-        )
-
-    _collect(rows, radius_roundtrip, "geom_radius_roundtrip",
-             "rho <-> ball radius conversions invert each other", 1e-12)
-
-    def ball_volume():
-        # V(R) on H^3 has the closed form pi sinh(2R) - 2 pi R
-        grid = make_radial_grid(rho_max=2.0, num_nodes=512)
-        vol = integrate_radial(np.ones_like(grid.nodes), grid, 3)
-        want = math.pi * math.sinh(4.0) - 4.0 * math.pi
-        return _cmp_row(
-            "geom_ball_volume_h3",
-            "geodesic ball volume closed form in dimension 3",
-            vol,
-            want,
-            1e-10,
-        )
-
-    _collect(rows, ball_volume, "geom_ball_volume_h3",
-             "geodesic ball volume closed form in dimension 3", 1e-10)
-
-    return rows
+        worst = max(worst, abs(d1 - d0) / max(d0, 1e-12))
+    return worst, 0.0
 
 
-def _suite_kernels(cfg: RunConfig) -> list:
-    from hypverify.kernels import (
-        heat_kernel,
-        product_resolvent_h5,
-        qk_inverse_kernel,
-        resolvent_kernel,
-        _resolvent_closed_odd,
-    )
-    from hypverify.radial import make_radial_grid, integrate_radial, radial_convolution
-
-    rows: list[CheckRow] = []
-    rho = np.geomspace(0.05, 8.0, 48)
-
-    def heat_closed():
-        t = 0.7
-        got = heat_kernel(t, rho, 3)
-        want = (
-            (4.0 * math.pi * t) ** -1.5
-            * math.exp(-t)
-            * (rho / np.sinh(rho))
-            * np.exp(-(rho**2) / (4.0 * t))
-        )
-        return _bound_row(
-            "kern_heat_closed_h3",
-            "heat kernel matches the dimension-3 closed form",
-            float(np.max(np.abs(got / want - 1.0))),
-            0.0,
-            1e-12,
-        )
-
-    _collect(rows, heat_closed, "kern_heat_closed_h3",
-             "heat kernel matches the dimension-3 closed form", 1e-12)
-
-    def heat_mass():
-        grid = make_radial_grid(rho_max=14.0, num_nodes=896)
-        mass = integrate_radial(heat_kernel(1.0, grid.nodes, 5), grid, 5)
-        return _cmp_row(
-            "kern_heat_mass_h5",
-            "heat kernel has unit mass",
-            mass,
-            1.0,
-            1e-6,
-        )
-
-    _collect(rows, heat_mass, "kern_heat_mass_h5",
-             "heat kernel has unit mass", 1e-6)
-
-    def heat_semigroup():
-        grid = make_radial_grid(rho_max=14.0, num_nodes=640)
-        half = heat_kernel(0.5, grid.nodes, 3)
-        conv = radial_convolution(half, half, grid, 3)
-        one = heat_kernel(1.0, grid.nodes, 3)
-        win = (grid.nodes >= 0.1) & (grid.nodes <= 3.0)
-        sup = float(np.max(np.abs(conv[win] - one[win])))
-        return _bound_row(
-            "kern_heat_semigroup_h3",
-            "heat(1/2) * heat(1/2) composes to heat(1)",
-            sup,
-            0.0,
-            1e-4,
-        )
-
-    _collect(rows, heat_semigroup, "kern_heat_semigroup_h3",
-             "heat(1/2) * heat(1/2) composes to heat(1)", 1e-4)
-
-    def resolvent_closed():
-        rr = np.geomspace(0.1, 5.0, 32)
-        worst = 0.0
-        # shifts sit above the spectral bottom -(n-1)^2/4 of each n
-        for n, lam0 in ((3, -0.5), (5, -3.0)):
-            got = resolvent_kernel(lam0, rr, n)
-            want = _resolvent_closed_odd(lam0, rr, n)
-            worst = max(worst, float(np.max(np.abs(got / want - 1.0))))
-        return _bound_row(
-            "kern_resolvent_closed_odd",
-            "resolvent quadrature matches odd-dimension closed forms",
-            worst,
-            0.0,
-            1e-8,
-        )
-
-    _collect(rows, resolvent_closed, "kern_resolvent_closed_odd",
-             "resolvent quadrature matches odd-dimension closed forms", 1e-8)
-
-    def product_identity():
-        rr = np.geomspace(0.05, 15.0, 64)
-        got = product_resolvent_h5(-4.0, -3.0, rr)
-        # stable form of (cosh rho - 1) / (8 pi^2 sinh^3 rho)
-        want = 2.0 * np.sinh(0.5 * rr) ** 2 / (8.0 * math.pi**2 * np.sinh(rr) ** 3)
-        return _bound_row(
-            "kern_product_resolvent_h5",
-            "product kernel matches the resolvent-difference closed form",
-            float(np.max(np.abs(got / want - 1.0))),
-            0.0,
-            1e-12,
-        )
-
-    _collect(rows, product_identity, "kern_product_resolvent_h5",
-             "product kernel matches the resolvent-difference closed form", 1e-12)
-
-    def product_bound():
-        rr = np.geomspace(0.01, 15.0, 64)
-        got = product_resolvent_h5(-4.0, -3.0, rr)
-        cap = 1.0 / (
-            32.0 * math.pi**2 * np.sinh(0.5 * rr) * np.cosh(0.5 * rr) ** 2
-        )
-        return _bound_row(
-            "kern_product_resolvent_bound",
-            "product kernel stays below its displayed envelope",
-            float(np.max(got / cap)),
-            1.0,
-            0.0,
-        )
-
-    _collect(rows, product_bound, "kern_product_resolvent_bound",
-             "product kernel stays below its displayed envelope", 0.0)
-
-    def qk_routes():
-        from scipy.interpolate import CubicSpline
-
-        # the convolution route wants a wide fine grid (its quadrature
-        # lives there); the spectral route is pointwise but needs a
-        # large frequency window for 1e-3 at rho ~ 0.1, so it runs on
-        # a coarse probe grid to keep the phi matrix small
-        fine = make_radial_grid(rho_max=12.0, num_nodes=896)
-        conv = qk_inverse_kernel(fine, 5, 2, route="convolution")
-        probe = make_radial_grid(rho_max=5.2, num_nodes=64)
-        spect = qk_inverse_kernel(probe, 5, 2, route="spectral",
-                                  lam_max=960.0, num_lam=6144)
-        win = (probe.nodes >= 0.1) & (probe.nodes <= 5.0)
-        conv_at = CubicSpline(fine.nodes, conv)(probe.nodes[win])
-        rel = float(np.max(np.abs(conv_at / spect[win] - 1.0)))
-        return _bound_row(
-            "kern_qk_inverse_routes",
-            "inverse kernel: convolution and spectral routes agree",
-            rel,
-            0.0,
-            1e-3,
-        )
-
-    _collect(rows, qk_routes, "kern_qk_inverse_routes",
-             "inverse kernel: convolution and spectral routes agree", 1e-3)
-
-    def qk_bound_stable():
-        # fitted constant in  kernel <= A sinh(rho/2)^{2k-n}
-        # must not drift under grid doubling
-        vals = []
-        for nodes in (256, 512):
-            grid = make_radial_grid(rho_max=10.0, num_nodes=nodes)
-            kern = qk_inverse_kernel(grid, 5, 2, route="convolution")
-            vals.append(float(np.max(kern * np.sinh(0.5 * grid.nodes))))
-        return _cmp_row(
-            "kern_qk_bound_fit_stability",
-            "fitted inverse-kernel bound constant stable under doubling",
-            vals[1],
-            vals[0],
-            0.05,
-        )
-
-    _collect(rows, qk_bound_stable, "kern_qk_bound_fit_stability",
-             "fitted inverse-kernel bound constant stable under doubling", 0.05)
-
-    return rows
+def _shift_centers(cfg, rng):
+    pts = _rand_ball(rng, 8, cfg.n)
+    worst = max(float(np.linalg.norm(geometry.mobius_shift(a, a))) for a in pts)
+    return worst, 0.0
 
 
-def _suite_transform(cfg: RunConfig) -> list:
-    from hypverify.radial import RadialFunction, make_radial_grid
-    from hypverify.specialfn import (
-        plancherel_density,
-        spherical_function,
-        spherical_function_sphere_average,
-    )
-    from hypverify.spectral import (
-        SpectralFunction,
-        make_spectral_grid,
-        plancherel_check,
-    )
+def _radius_roundtrip(cfg, rng):
+    # past rho ~ 10 the ball radius is within 1e-9 of the boundary
+    # and the inverse map cannot return more than ~8 digits
+    rho = np.geomspace(1e-4, 10.0, 64)
+    back = geometry.rho_from_radius(geometry.radius_from_rho(rho))
+    return float(np.max(np.abs(back - rho) / rho)), 0.0
 
-    rows: list[CheckRow] = []
+
+def _ball_volume(cfg, rng):
+    # V(R) on H^3 has the closed form pi sinh(2R) - 2 pi R
+    grid = radial.make_radial_grid(rho_max=2.0, num_nodes=512)
+    vol = radial.integrate_radial(np.ones_like(grid.nodes), grid, 3)
+    return vol, math.pi * math.sinh(4.0) - 4.0 * math.pi
+
+
+# -- kernels --------------------------------------------------------------
+
+
+def _heat_closed_form(t, rho):
+    """The heat kernel on H^3 in closed form."""
+    gauss = np.exp(-(rho**2) / (4.0 * t))
+    return (4.0 * math.pi * t) ** -1.5 * math.exp(-t) * (rho / np.sinh(rho)) * gauss
+
+
+def _heat_closed(cfg, rng):
+    t, rho = 0.7, np.geomspace(0.05, 8.0, 48)
+    got = kernels.heat_kernel(t, rho, 3)
+    return float(np.max(np.abs(got / _heat_closed_form(t, rho) - 1.0))), 0.0
+
+
+def _heat_mass(cfg, rng):
+    grid = radial.make_radial_grid(rho_max=14.0, num_nodes=896)
+    return radial.integrate_radial(kernels.heat_kernel(1.0, grid.nodes, 5), grid, 5), 1.0
+
+
+def _heat_semigroup(cfg, rng):
+    grid = radial.make_radial_grid(rho_max=14.0, num_nodes=640)
+    half = kernels.heat_kernel(0.5, grid.nodes, 3)
+    conv = radial.radial_convolution(half, half, grid, 3)
+    one = kernels.heat_kernel(1.0, grid.nodes, 3)
+    win = (grid.nodes >= 0.1) & (grid.nodes <= 3.0)
+    return float(np.max(np.abs(conv[win] - one[win]))), 0.0
+
+
+def _resolvent_closed(cfg, rng):
+    rr = np.geomspace(0.1, 5.0, 32)
+    worst = 0.0
+    # shifts sit above the spectral bottom -(n-1)^2/4 of each n
+    for n, lam0 in ((3, -0.5), (5, -3.0)):
+        got = kernels.resolvent_kernel(lam0, rr, n)
+        want = kernels._resolvent_closed_odd(lam0, rr, n)
+        worst = max(worst, float(np.max(np.abs(got / want - 1.0))))
+    return worst, 0.0
+
+
+def _product_identity(cfg, rng):
+    rr = np.geomspace(0.05, 15.0, 64)
+    got = kernels.product_resolvent_h5(-4.0, -3.0, rr)
+    # stable form of (cosh rho - 1) / (8 pi^2 sinh^3 rho)
+    want = 2.0 * np.sinh(0.5 * rr) ** 2 / (8.0 * math.pi**2 * np.sinh(rr) ** 3)
+    return float(np.max(np.abs(got / want - 1.0))), 0.0
+
+
+def _product_bound(cfg, rng):
+    rr = np.geomspace(0.01, 15.0, 64)
+    got = kernels.product_resolvent_h5(-4.0, -3.0, rr)
+    cap = 1.0 / (32.0 * math.pi**2 * np.sinh(0.5 * rr) * np.cosh(0.5 * rr) ** 2)
+    return float(np.max(got / cap)), 1.0
+
+
+def _qk_routes(cfg, rng):
+    # the convolution route wants a wide fine grid (its quadrature
+    # lives there); the spectral route is pointwise but needs a
+    # large frequency window for 1e-3 at rho ~ 0.1, so it runs on
+    # a coarse probe grid to keep the phi matrix small
+    fine = radial.make_radial_grid(rho_max=12.0, num_nodes=896)
+    conv = kernels.qk_inverse_kernel(fine, 5, 2, route="convolution")
+    probe = radial.make_radial_grid(rho_max=5.2, num_nodes=64)
+    spect = kernels.qk_inverse_kernel(probe, 5, 2, route="spectral",
+                                      lam_max=960.0, num_lam=6144)
+    win = (probe.nodes >= 0.1) & (probe.nodes <= 5.0)
+    conv_at = CubicSpline(fine.nodes, conv)(probe.nodes[win])
+    return float(np.max(np.abs(conv_at / spect[win] - 1.0))), 0.0
+
+
+def _qk_bound_stable(cfg, rng):
+    # fitted constant in  kernel <= A sinh(rho/2)^{2k-n}
+    # must not drift under grid doubling
+    vals = []
+    for nodes in (256, 512):
+        grid = radial.make_radial_grid(rho_max=10.0, num_nodes=nodes)
+        kern = kernels.qk_inverse_kernel(grid, 5, 2, route="convolution")
+        vals.append(float(np.max(kern * np.sinh(0.5 * grid.nodes))))
+    return vals[1], vals[0]
+
+
+# -- transform ------------------------------------------------------------
+
+def _density_poly(cfg, rng, n):
     lam = np.geomspace(0.1, 30.0, 64)
-
-    def density_h3():
-        got = plancherel_density(lam, 3)
-        return _bound_row(
-            "tran_density_poly_h3",
-            "inversion density equals its polynomial form, dimension 3",
-            float(np.max(np.abs(got / (lam**2 / 4.0) - 1.0))),
-            0.0,
-            1e-12,
-        )
-
-    _collect(rows, density_h3, "tran_density_poly_h3",
-             "inversion density equals its polynomial form, dimension 3", 1e-12)
-
-    def density_h5():
-        got = plancherel_density(lam, 5)
-        want = lam**2 * (lam**2 + 4.0) / 576.0
-        return _bound_row(
-            "tran_density_poly_h5",
-            "inversion density equals its polynomial form, dimension 5",
-            float(np.max(np.abs(got / want - 1.0))),
-            0.0,
-            1e-12,
-        )
-
-    _collect(rows, density_h5, "tran_density_poly_h5",
-             "inversion density equals its polynomial form, dimension 5", 1e-12)
-
-    grid = make_radial_grid(rho_max=cfg.rho_max, num_nodes=cfg.num_nodes)
-    sgrid = make_spectral_grid(lam_max=cfg.lam_max, num_nodes=1024)
-
-    for n in (3, 4, 5):
-        def roundtrip(n=n):
-            rf = RadialFunction(grid, np.exp(-grid.nodes**2), n)
-            back = SpectralFunction.from_radial(rf, sgrid).to_radial(grid)
-            sup = float(np.max(np.abs(back.values - rf.values)))
-            return _bound_row(
-                f"tran_roundtrip_n{n}",
-                "forward-then-inverse transform returns the profile",
-                sup,
-                0.0,
-                1e-6,
-            )
-
-        _collect(rows, roundtrip, f"tran_roundtrip_n{n}",
-                 "forward-then-inverse transform returns the profile", 1e-6)
-
-    def isometry():
-        space, freq = plancherel_check(np.exp(-grid.nodes**2), grid, 3, sgrid)
-        return _cmp_row(
-            "tran_isometry",
-            "transform preserves the L2 norm",
-            freq,
-            space,
-            1e-6,
-        )
-
-    _collect(rows, isometry, "tran_isometry",
-             "transform preserves the L2 norm", 1e-6)
-
-    def phi_sphere_average():
-        got = spherical_function(2.0, 1.5, 4)
-        want = spherical_function_sphere_average(2.0, 1.5, 4)
-        return _cmp_row(
-            "tran_phi_sphere_avg",
-            "spherical function equals its sphere-average route",
-            float(got),
-            float(want),
-            1e-8,
-        )
-
-    _collect(rows, phi_sphere_average, "tran_phi_sphere_avg",
-             "spherical function equals its sphere-average route", 1e-8)
-
-    return rows
+    want = {3: lam**2 / 4.0, 5: lam**2 * (lam**2 + 4.0) / 576.0}[n]
+    return float(np.max(np.abs(specialfn.plancherel_density(lam, n) / want - 1.0))), 0.0
 
 
-def _suite_exact(cfg: RunConfig) -> list:
-    from hypverify.exact import (
-        ball_conjugation_numeric_check,
-        halfspace_conjugation_monomial_check,
-        verify_sinh_derivative_recursion,
-    )
-
-    rows: list[CheckRow] = []
-
-    def recursion():
-        ok = verify_sinh_derivative_recursion(cfg.kmax)
-        return CheckRow(
-            "exact_ladder_recursion",
-            f"iterated ladder coefficients match the integer recursion, k <= {cfg.kmax}",
-            1.0 if ok else 0.0,
-            1.0,
-            0.0,
-            0.0 if ok else 1.0,
-            ok,
-        )
-
-    _collect(rows, recursion, "exact_ladder_recursion",
-             "iterated ladder coefficients match the integer recursion", 0.0)
-
-    def monomials():
-        bad = 0
-        total = 0
-        for n in range(3, 13):
-            for k in range(1, (n - 1) // 2 + 1):
-                for m in range(0, 7):
-                    lhs, rhs = halfspace_conjugation_monomial_check(n, k, m)
-                    total += 1
-                    bad += lhs != rhs
-        return CheckRow(
-            "exact_conjugation_monomials",
-            f"half-space conjugation identity exact on {total} monomial cases",
-            float(bad),
-            0.0,
-            0.0,
-            float(bad),
-            bad == 0,
-        )
-
-    _collect(rows, monomials, "exact_conjugation_monomials",
-             "half-space conjugation identity exact on monomials", 0.0)
-
-    for n, k in ((3, 1), (5, 1), (5, 2)):
-        def numeric(n=n, k=k):
-            err = ball_conjugation_numeric_check(n, k)
-            return _bound_row(
-                f"exact_ball_conjugation_n{n}k{k}",
-                "ball conjugation identity by nested finite differences",
-                err,
-                0.0,
-                1e-4,
-            )
-
-        _collect(rows, numeric, f"exact_ball_conjugation_n{n}k{k}",
-                 "ball conjugation identity by nested finite differences", 1e-4)
-
-    return rows
+def _transform_grids(cfg):
+    grid = radial.make_radial_grid(rho_max=cfg.rho_max, num_nodes=cfg.num_nodes)
+    return grid, spectral.make_spectral_grid(lam_max=cfg.lam_max, num_nodes=1024)
 
 
-def _suite_inequalities(cfg: RunConfig) -> list:
-    from hypverify.inequalities import (
-        InequalitySpec,
-        biharmonic_hardy_identity_check,
-        bubble_family,
-        convolution_bound_check,
-        deficit,
-        duality_chain_check,
-        estimate_best_constant,
-        halfspace_deficit,
-        hls_bilinear,
-        hls_constant,
-        hls_trial_family,
-        ratio_curve,
-        riesz_composition_identity,
-        sobolev_constant,
-        symbol_gap_infimum,
-    )
-    from hypverify.radial import lp_norm, make_radial_grid
-    from hypverify.spectral import make_spectral_grid
+def _roundtrip(cfg, rng, n):
+    grid, sgrid = _transform_grids(cfg)
+    rf = radial.RadialFunction(grid, np.exp(-grid.nodes**2), n)
+    back = spectral.SpectralFunction.from_radial(rf, sgrid).to_radial(grid)
+    return float(np.max(np.abs(back.values - rf.values))), 0.0
 
-    rows: list[CheckRow] = []
+
+def _isometry(cfg, rng):
+    grid, sgrid = _transform_grids(cfg)
+    space, freq = spectral.plancherel_check(np.exp(-grid.nodes**2), grid, 3, sgrid)
+    return freq, space
+
+
+def _phi_sphere_average(cfg, rng):
+    got = specialfn.spherical_function(2.0, 1.5, 4)
+    want = specialfn.spherical_function_sphere_average(2.0, 1.5, 4)
+    return float(got), float(want)
+
+
+# -- exact ----------------------------------------------------------------
+
+_MONOMIAL_CASES = tuple(
+    (n, k, m)
+    for n in range(3, 13)
+    for k in range(1, (n - 1) // 2 + 1)
+    for m in range(0, 7)
+)
+
+
+def _recursion(cfg, rng):
+    return (1.0 if exact.verify_sinh_derivative_recursion(cfg.kmax) else 0.0), 1.0
+
+
+def _monomials(cfg, rng):
+    bad = 0
+    for n, k, m in _MONOMIAL_CASES:
+        lhs, rhs = exact.halfspace_conjugation_monomial_check(n, k, m)
+        bad += lhs != rhs
+    return float(bad), 0.0
+
+
+def _ball_conjugation(cfg, rng, n, k):
+    return exact.ball_conjugation_numeric_check(n, k), 0.0
+
+
+# -- inequalities ---------------------------------------------------------
+
+
+def _deficit_inputs(cfg):
+    """Spectral grid, concentrating bubble and subcritical exponent."""
     n, k = cfg.n, cfg.k
-    sgrid = make_spectral_grid(lam_max=180.0, num_nodes=1080)
-    bubble = bubble_family(0.3, n, k)
+    sgrid = spectral.make_spectral_grid(lam_max=180.0, num_nodes=1080)
+    bubble = inequalities.bubble_family(0.3, n, k)
     subcrit = cfg.p if cfg.p is not None else (2.0 * n + 2.0 * n / (n - 2 * k)) / 4.0
+    return sgrid, bubble, subcrit
 
-    battery = [
-        ("qk_sobolev", None),
-        ("pk_deficit", subcrit),
-        ("hardy_mazya", subcrit),
-        ("sharp_sobolev", None),
+
+def _one_deficit(cfg, rng, variant):
+    sgrid, bubble, subcrit = _deficit_inputs(cfg)
+    p = subcrit if variant in ("pk_deficit", "hardy_mazya") else None
+    spec = inequalities.InequalitySpec(variant, n=cfg.n, k=cfg.k, p=p)
+    rep = inequalities.deficit(bubble, spec, sgrid=sgrid, tail_tol=None)
+    # scale-aware: the deficit is measured relative to |lhs|
+    return -rep.deficit / max(abs(rep.lhs), _TINY), 0.0
+
+
+def _halfspace_match(cfg, rng):
+    sgrid, bubble, subcrit = _deficit_inputs(cfg)
+    spec = inequalities.InequalitySpec("hardy_mazya", n=cfg.n, k=cfg.k, p=subcrit)
+    a = inequalities.halfspace_deficit(bubble, spec, sgrid=sgrid, tail_tol=None)
+    b = inequalities.deficit(bubble, spec, sgrid=sgrid, tail_tol=None)
+    return a.lhs, b.lhs
+
+
+def _sharp_monotone(cfg, rng):
+    spec = inequalities.InequalitySpec("sharp_sobolev", n=cfg.n, k=cfg.k)
+    r = inequalities.ratio_curve(spec, cfg.eps_grid)
+    return (float(np.max(np.diff(r))) if len(r) > 1 else 0.0), 0.0
+
+
+def _sharp_extrapolated(cfg, rng):
+    spec = inequalities.InequalitySpec("sharp_sobolev", n=cfg.n, k=cfg.k)
+    est = inequalities.estimate_best_constant(spec, cfg.eps_grid, extrapolate=True)
+    return est, inequalities.sobolev_constant(cfg.n, cfg.k)
+
+
+def _poincare_bottom(cfg, rng):
+    spec = inequalities.InequalitySpec("poincare", n=cfg.n)
+    est = inequalities.estimate_best_constant(spec, (0.5, 0.2, 0.05))
+    return (cfg.n - 1) ** 2 / 4.0, est
+
+
+def _hls_battery(cfg, rng):
+    lam = cfg.lambda_exp
+    C = inequalities.hls_constant(3, lam)
+    p = 2.0 * 3 / (2.0 * 3 - lam)
+    grid = radial.make_radial_grid(rho_max=6.0, num_nodes=512)
+    cands = [
+        radial.RadialFunction(grid, np.exp(-grid.nodes**2), 3),
+        radial.RadialFunction(grid, np.exp(-2.0 * grid.nodes**2), 3),
+        inequalities.hls_trial_family(0.3, 3, lam, grid=grid),
+        inequalities.hls_trial_family(0.1, 3, lam, grid=grid),
     ]
-    if (n, k) == (5, 2):
-        battery.append(("h5_biharmonic", None))
-    for variant, p in battery:
-        def one_deficit(variant=variant, p=p):
-            spec = InequalitySpec(variant, n=n, k=k, p=p)
-            rep = deficit(bubble, spec, sgrid=sgrid, tail_tol=None)
-            # scale-aware: fail only if the deficit dips below
-            # -1e-8 |lhs|
-            rel = -rep.deficit / max(abs(rep.lhs), _TINY)
-            return _bound_row(
-                f"ineq_deficit_{variant}",
-                "deficit is nonnegative on the concentrating profile",
-                rel,
-                0.0,
-                1e-8,
-            )
-
-        _collect(rows, one_deficit, f"ineq_deficit_{variant}",
-                 "deficit is nonnegative on the concentrating profile", 1e-8)
-
-    def halfspace_match():
-        spec = InequalitySpec("hardy_mazya", n=n, k=k, p=subcrit)
-        a = halfspace_deficit(bubble, spec, sgrid=sgrid, tail_tol=None)
-        b = deficit(bubble, spec, sgrid=sgrid, tail_tol=None)
-        return _cmp_row(
-            "ineq_halfspace_equals_ball",
-            "half-space form reproduces the ball-side gap form",
-            a.lhs,
-            b.lhs,
-            0.0,
+    pairs = [(0, 0), (0, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
+    worst = 0.0
+    for i, j in pairs:
+        f, g = cands[i], cands[j]
+        ratio = inequalities.hls_bilinear(f, g, lam) / (
+            radial.lp_norm(f.values, grid, 3, p) * radial.lp_norm(g.values, grid, 3, p)
         )
-
-    _collect(rows, halfspace_match, "ineq_halfspace_equals_ball",
-             "half-space form reproduces the ball-side gap form", 0.0)
-
-    def sharp_monotone():
-        spec = InequalitySpec("sharp_sobolev", n=n, k=k)
-        r = ratio_curve(spec, cfg.eps_grid)
-        worst = float(np.max(np.diff(r))) if len(r) > 1 else 0.0
-        return _bound_row(
-            "ineq_sharp_monotone",
-            "Rayleigh ratio is non-increasing along the concentration",
-            worst,
-            0.0,
-            1e-12,
-        )
-
-    _collect(rows, sharp_monotone, "ineq_sharp_monotone",
-             "Rayleigh ratio is non-increasing along the concentration", 1e-12)
-
-    def sharp_extrapolated():
-        spec = InequalitySpec("sharp_sobolev", n=n, k=k)
-        est = estimate_best_constant(spec, cfg.eps_grid, extrapolate=True)
-        return _cmp_row(
-            "ineq_sharp_extrapolated",
-            "extrapolated Rayleigh limit hits the sharp constant",
-            est,
-            sobolev_constant(n, k),
-            0.02,
-        )
-
-    _collect(rows, sharp_extrapolated, "ineq_sharp_extrapolated",
-             "extrapolated Rayleigh limit hits the sharp constant", 0.02)
-
-    def poincare_bottom():
-        spec = InequalitySpec("poincare", n=n)
-        est = estimate_best_constant(spec, (0.5, 0.2, 0.05))
-        gap = (n - 1) ** 2 / 4.0
-        return _bound_row(
-            "ineq_poincare_bottom",
-            "spread exponential ratios stay above the spectral gap",
-            gap,
-            est,
-            0.0,
-        )
-
-    _collect(rows, poincare_bottom, "ineq_poincare_bottom",
-             "spread exponential ratios stay above the spectral gap", 0.0)
-
-    def hls_battery():
-        C = hls_constant(3, cfg.lambda_exp)
-        p = 2.0 * 3 / (2.0 * 3 - cfg.lambda_exp)
-        grid = make_radial_grid(rho_max=6.0, num_nodes=512)
-        gauss = np.exp(-grid.nodes**2)
-        from hypverify.radial import RadialFunction
-
-        cands = [
-            RadialFunction(grid, gauss, 3),
-            RadialFunction(grid, np.exp(-2.0 * grid.nodes**2), 3),
-            hls_trial_family(0.3, 3, cfg.lambda_exp, grid=grid),
-            hls_trial_family(0.1, 3, cfg.lambda_exp, grid=grid),
-        ]
-        pairs = [(0, 0), (0, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
-        worst = 0.0
-        for i, j in pairs:
-            f, g = cands[i], cands[j]
-            ratio = hls_bilinear(f, g, cfg.lambda_exp) / (
-                lp_norm(f.values, grid, 3, p) * lp_norm(g.values, grid, 3, p)
-            )
-            worst = max(worst, ratio / C)
-        return _bound_row(
-            "ineq_hls_battery",
-            "bilinear ratios stay below the sharp constant, six pairs",
-            worst,
-            1.0,
-            1e-6,
-        )
-
-    _collect(rows, hls_battery, "ineq_hls_battery",
-             "bilinear ratios stay below the sharp constant, six pairs", 1e-6)
-
-    try:
-        C_hls = hls_constant(3, cfg.lambda_exp)
-        spec_hls = InequalitySpec("hls", n=3, lambda_exp=cfg.lambda_exp)
-        est_hls = estimate_best_constant(spec_hls, (0.2, 0.1, 0.05))
-        rows.append(_cmp_row(
-            "ineq_hls_concentration",
-            "concentrating ratios reach the sharp constant from below",
-            est_hls, C_hls, 0.05))
-        rows.append(_bound_row(
-            "ineq_hls_strictly_below",
-            "concentrating ratios never cross the sharp constant",
-            est_hls, C_hls, 0.0))
-    except Exception:
-        rows.append(_failed_row(
-            "ineq_hls_concentration",
-            "concentrating ratios reach the sharp constant from below", 0.05))
-        rows.append(_failed_row(
-            "ineq_hls_strictly_below",
-            "concentrating ratios never cross the sharp constant", 0.0))
-
-    for a, b, nn in ((1.0, 2.0, 5), (2.0, 2.0, 5), (1.0, 1.0, 4)):
-        def conv_bound(a=a, b=b, nn=nn):
-            rep = convolution_bound_check(a, b, nn)
-            return _bound_row(
-                f"ineq_conv_bound_a{a:g}_b{b:g}_n{nn}",
-                "kernel composition stays below its closed-form bound",
-                rep.max_ratio,
-                1.0,
-                1e-6,
-            )
-
-        _collect(rows, conv_bound, f"ineq_conv_bound_a{a:g}_b{b:g}_n{nn}",
-                 "kernel composition stays below its closed-form bound", 1e-6)
-
-    def euclid_composition():
-        lhs, rhs = riesz_composition_identity(1.0, 0.8)
-        return _cmp_row(
-            "ineq_riesz_composition",
-            "Euclidean power-kernel composition identity by quadrature",
-            lhs,
-            rhs,
-            1e-6,
-        )
-
-    _collect(rows, euclid_composition, "ineq_riesz_composition",
-             "Euclidean power-kernel composition identity by quadrature", 1e-6)
-
-    try:
-        rep_bi = biharmonic_hardy_identity_check()
-        rows.append(_bound_row(
-            "ineq_biharmonic_spectral",
-            "second-order Hardy identity through the squared symbol",
-            rep_bi.spectral_rel, 0.0, 1e-6))
-        rows.append(_bound_row(
-            "ineq_biharmonic_quadrature",
-            "second-order Hardy identity by half-space quadrature",
-            rep_bi.quadrature_rel, 0.0, 1e-3))
-    except Exception:
-        rows.append(_failed_row(
-            "ineq_biharmonic_spectral",
-            "second-order Hardy identity through the squared symbol", 1e-6))
-        rows.append(_failed_row(
-            "ineq_biharmonic_quadrature",
-            "second-order Hardy identity by half-space quadrature", 1e-3))
-
-    def symbol_gap():
-        val = symbol_gap_infimum(np.geomspace(1e-3, 50.0, 200))
-        return _bound_row(
-            "ineq_symbol_gap_infimum",
-            "fourth-order symbol ratio collapses at the spectrum bottom",
-            val,
-            0.0,
-            1e-5,
-        )
-
-    _collect(rows, symbol_gap, "ineq_symbol_gap_infimum",
-             "fourth-order symbol ratio collapses at the spectrum bottom", 1e-5)
-
-    def duality():
-        rep = duality_chain_check()
-        return _bound_row(
-            "ineq_duality_chain",
-            "critical norm bounded through the chained kernel constants",
-            rep.norm_sq,
-            rep.chained_constant * rep.form,
-            0.0,
-        )
-
-    _collect(rows, duality, "ineq_duality_chain",
-             "critical norm bounded through the chained kernel constants", 0.0)
-
-    return rows
+        worst = max(worst, ratio / C)
+    return worst, 1.0
 
 
-def _suite_constants(cfg: RunConfig) -> list:
-    from hypverify.inequalities import hls_constant, riesz_gamma, sobolev_constant
-
-    rows: list[CheckRow] = []
-
-    def s31():
-        return _cmp_row(
-            "const_sobolev_3_1",
-            "first-order sharp constant closed form, dimension 3",
-            sobolev_constant(3, 1),
-            3.0 * (math.pi / 2.0) ** (4.0 / 3.0),
-            1e-12,
-        )
-
-    _collect(rows, s31, "const_sobolev_3_1",
-             "first-order sharp constant closed form, dimension 3", 1e-12)
-
-    def skn():
-        n, k = cfg.n, cfg.k
-        via = riesz_gamma(2.0 * k, n) / hls_constant(n, n - 2.0 * k)
-        return _cmp_row(
-            f"const_sobolev_{n}_{k}_routes",
-            "sharp constant: closed form vs kernel-normalization route",
-            sobolev_constant(n, k),
-            via,
-            1e-13,
-        )
-
-    _collect(rows, skn, f"const_sobolev_{cfg.n}_{cfg.k}_routes",
-             "sharp constant: closed form vs kernel-normalization route", 1e-13)
-
-    def gamma2():
-        return _cmp_row(
-            "const_riesz_gamma_2_h3",
-            "Riesz normalization gamma(2) in dimension 3 is 4 pi",
-            riesz_gamma(2.0, 3),
-            4.0 * math.pi,
-            1e-14,
-        )
-
-    _collect(rows, gamma2, "const_riesz_gamma_2_h3",
-             "Riesz normalization gamma(2) in dimension 3 is 4 pi", 1e-14)
-
-    def gamma4():
-        return _cmp_row(
-            "const_riesz_gamma_4_h5",
-            "Riesz normalization gamma(4) in dimension 5 is 16 pi^2",
-            riesz_gamma(4.0, 5),
-            16.0 * math.pi**2,
-            1e-14,
-        )
-
-    _collect(rows, gamma4, "const_riesz_gamma_4_h5",
-             "Riesz normalization gamma(4) in dimension 5 is 16 pi^2", 1e-14)
-
-    def c31():
-        return _cmp_row(
-            "const_hls_3_1",
-            "sharp bilinear constant closed form, dimension 3",
-            hls_constant(3, 1.0),
-            (4.0 / 3.0) * (4.0 / math.sqrt(math.pi)) ** (2.0 / 3.0),
-            1e-14,
-        )
-
-    _collect(rows, c31, "const_hls_3_1",
-             "sharp bilinear constant closed form, dimension 3", 1e-14)
-
-    return rows
+def _hls_concentration(cfg, rng):
+    C = inequalities.hls_constant(3, cfg.lambda_exp)
+    spec = inequalities.InequalitySpec("hls", n=3, lambda_exp=cfg.lambda_exp)
+    est = inequalities.estimate_best_constant(spec, (0.2, 0.1, 0.05))
+    return est, C, est, C
 
 
-_SUITE_FNS = {
-    "geometry": lambda cfg, rng: _suite_geometry(cfg, rng),
-    "kernels": lambda cfg, rng: _suite_kernels(cfg),
-    "transform": lambda cfg, rng: _suite_transform(cfg),
-    "exact": lambda cfg, rng: _suite_exact(cfg),
-    "inequalities": lambda cfg, rng: _suite_inequalities(cfg),
-    "constants": lambda cfg, rng: _suite_constants(cfg),
-}
+def _conv_bound(cfg, rng, a, b, n):
+    return inequalities.convolution_bound_check(a, b, n).max_ratio, 1.0
+
+
+def _euclid_composition(cfg, rng):
+    return inequalities.riesz_composition_identity(1.0, 0.8)
+
+
+def _biharmonic(cfg, rng):
+    rep = inequalities.biharmonic_hardy_identity_check()
+    return rep.spectral_rel, 0.0, rep.quadrature_rel, 0.0
+
+
+def _symbol_gap(cfg, rng):
+    return inequalities.symbol_gap_infimum(np.geomspace(1e-3, 50.0, 200)), 0.0
+
+
+def _duality(cfg, rng):
+    rep = inequalities.duality_chain_check()
+    return rep.norm_sq, rep.chained_constant * rep.form
+
+
+# -- constants ------------------------------------------------------------
+
+
+def _sobolev_3_1(cfg, rng):
+    return inequalities.sobolev_constant(3, 1), 3.0 * (math.pi / 2.0) ** (4.0 / 3.0)
+
+
+def _sobolev_routes(cfg, rng):
+    n, k = cfg.n, cfg.k
+    via = inequalities.riesz_gamma(2.0 * k, n) / inequalities.hls_constant(n, n - 2.0 * k)
+    return inequalities.sobolev_constant(n, k), via
+
+
+def _riesz_gamma_2(cfg, rng):
+    return inequalities.riesz_gamma(2.0, 3), 4.0 * math.pi
+
+
+def _riesz_gamma_4(cfg, rng):
+    return inequalities.riesz_gamma(4.0, 5), 16.0 * math.pi**2
+
+
+def _hls_3_1(cfg, rng):
+    want = (4.0 / 3.0) * (4.0 / math.sqrt(math.pi)) ** (2.0 / 3.0)
+    return inequalities.hls_constant(3, 1.0), want
+
+
+# -- the table ------------------------------------------------------------
+
+
+def _check_table(cfg: RunConfig) -> list:
+    """Every check of every suite, in run order, for this configuration.
+
+    Order matters: the geometry checks draw from the shared generator in
+    turn, and later checks reuse phi matrices cached by earlier ones.
+    """
+    return [
+        Check("geometry", _model_consistency,
+              Row("geom_model_consistency", "bound", 1e-10,
+                  "ball and half-space distances agree under the model map")),
+        Check("geometry", _shift_invariance,
+              Row("geom_shift_invariance", "bound", 1e-10,
+                  "distance is invariant under the hyperbolic translation")),
+        Check("geometry", _shift_centers,
+              Row("geom_shift_centers", "bound", 1e-12,
+                  "the translation by a sends a to the origin")),
+        Check("geometry", _radius_roundtrip,
+              Row("geom_radius_roundtrip", "bound", 1e-12,
+                  "rho <-> ball radius conversions invert each other")),
+        Check("geometry", _ball_volume,
+              Row("geom_ball_volume_h3", "cmp", 1e-10,
+                  "geodesic ball volume closed form in dimension 3")),
+        Check("kernels", _heat_closed,
+              Row("kern_heat_closed_h3", "bound", 1e-12,
+                  "heat kernel matches the dimension-3 closed form")),
+        Check("kernels", _heat_mass,
+              Row("kern_heat_mass_h5", "cmp", 1e-6, "heat kernel has unit mass")),
+        Check("kernels", _heat_semigroup,
+              Row("kern_heat_semigroup_h3", "bound", 1e-4,
+                  "heat(1/2) * heat(1/2) composes to heat(1)")),
+        Check("kernels", _resolvent_closed,
+              Row("kern_resolvent_closed_odd", "bound", 1e-8,
+                  "resolvent quadrature matches odd-dimension closed forms")),
+        Check("kernels", _product_identity,
+              Row("kern_product_resolvent_h5", "bound", 1e-12,
+                  "product kernel matches the resolvent-difference closed form")),
+        Check("kernels", _product_bound,
+              Row("kern_product_resolvent_bound", "bound", 0.0,
+                  "product kernel stays below its displayed envelope")),
+        Check("kernels", _qk_routes,
+              Row("kern_qk_inverse_routes", "bound", 1e-3,
+                  "inverse kernel: convolution and spectral routes agree")),
+        Check("kernels", _qk_bound_stable,
+              Row("kern_qk_bound_fit_stability", "cmp", 0.05,
+                  "fitted inverse-kernel bound constant stable under doubling")),
+        *(
+            Check("transform", partial(_density_poly, n=n),
+                  Row(f"tran_density_poly_h{n}", "bound", 1e-12,
+                      f"inversion density equals its polynomial form, dimension {n}"))
+            for n in (3, 5)
+        ),
+        *(
+            Check("transform", partial(_roundtrip, n=n),
+                  Row(f"tran_roundtrip_n{n}", "bound", 1e-6,
+                      "forward-then-inverse transform returns the profile"))
+            for n in (3, 4, 5)
+        ),
+        Check("transform", _isometry,
+              Row("tran_isometry", "cmp", 1e-6, "transform preserves the L2 norm")),
+        Check("transform", _phi_sphere_average,
+              Row("tran_phi_sphere_avg", "cmp", 1e-8,
+                  "spherical function equals its sphere-average route")),
+        Check("exact", _recursion,
+              Row("exact_ladder_recursion", "cmp", 0.0,
+                  "iterated ladder coefficients match the integer recursion, "
+                  f"k <= {cfg.kmax}")),
+        Check("exact", _monomials,
+              Row("exact_conjugation_monomials", "cmp", 0.0,
+                  "half-space conjugation identity exact on "
+                  f"{len(_MONOMIAL_CASES)} monomial cases")),
+        *(
+            Check("exact", partial(_ball_conjugation, n=n, k=k),
+                  Row(f"exact_ball_conjugation_n{n}k{k}", "bound", 1e-4,
+                      "ball conjugation identity by nested finite differences"))
+            for n, k in ((3, 1), (5, 1), (5, 2))
+        ),
+        *(
+            Check("inequalities", partial(_one_deficit, variant=variant),
+                  Row(f"ineq_deficit_{variant}", "bound", 1e-8,
+                      "deficit is nonnegative on the concentrating profile"))
+            for variant in ("qk_sobolev", "pk_deficit", "hardy_mazya", "sharp_sobolev")
+            + (("h5_biharmonic",) if (cfg.n, cfg.k) == (5, 2) else ())
+        ),
+        Check("inequalities", _halfspace_match,
+              Row("ineq_halfspace_equals_ball", "cmp", 0.0,
+                  "half-space form reproduces the ball-side gap form")),
+        Check("inequalities", _sharp_monotone,
+              Row("ineq_sharp_monotone", "bound", 1e-12,
+                  "Rayleigh ratio is non-increasing along the concentration")),
+        Check("inequalities", _sharp_extrapolated,
+              Row("ineq_sharp_extrapolated", "cmp", 0.02,
+                  "extrapolated Rayleigh limit hits the sharp constant")),
+        Check("inequalities", _poincare_bottom,
+              Row("ineq_poincare_bottom", "bound", 0.0,
+                  "spread exponential ratios stay above the spectral gap")),
+        Check("inequalities", _hls_battery,
+              Row("ineq_hls_battery", "bound", 1e-6,
+                  "bilinear ratios stay below the sharp constant, six pairs")),
+        Check("inequalities", _hls_concentration,
+              Row("ineq_hls_concentration", "cmp", 0.05,
+                  "concentrating ratios reach the sharp constant from below"),
+              Row("ineq_hls_strictly_below", "bound", 0.0,
+                  "concentrating ratios never cross the sharp constant")),
+        *(
+            Check("inequalities", partial(_conv_bound, a=a, b=b, n=n),
+                  Row(f"ineq_conv_bound_a{a:g}_b{b:g}_n{n}", "bound", 1e-6,
+                      "kernel composition stays below its closed-form bound"))
+            for a, b, n in ((1.0, 2.0, 5), (2.0, 2.0, 5), (1.0, 1.0, 4))
+        ),
+        Check("inequalities", _euclid_composition,
+              Row("ineq_riesz_composition", "cmp", 1e-6,
+                  "Euclidean power-kernel composition identity by quadrature")),
+        Check("inequalities", _biharmonic,
+              Row("ineq_biharmonic_spectral", "bound", 1e-6,
+                  "second-order Hardy identity through the squared symbol"),
+              Row("ineq_biharmonic_quadrature", "bound", 1e-3,
+                  "second-order Hardy identity by half-space quadrature")),
+        Check("inequalities", _symbol_gap,
+              Row("ineq_symbol_gap_infimum", "bound", 1e-5,
+                  "fourth-order symbol ratio collapses at the spectrum bottom")),
+        Check("inequalities", _duality,
+              Row("ineq_duality_chain", "bound", 0.0,
+                  "critical norm bounded through the chained kernel constants")),
+        Check("constants", _sobolev_3_1,
+              Row("const_sobolev_3_1", "cmp", 1e-12,
+                  "first-order sharp constant closed form, dimension 3")),
+        Check("constants", _sobolev_routes,
+              Row(f"const_sobolev_{cfg.n}_{cfg.k}_routes", "cmp", 1e-13,
+                  "sharp constant: closed form vs kernel-normalization route")),
+        Check("constants", _riesz_gamma_2,
+              Row("const_riesz_gamma_2_h3", "cmp", 1e-14,
+                  "Riesz normalization gamma(2) in dimension 3 is 4 pi")),
+        Check("constants", _riesz_gamma_4,
+              Row("const_riesz_gamma_4_h5", "cmp", 1e-14,
+                  "Riesz normalization gamma(4) in dimension 5 is 16 pi^2")),
+        Check("constants", _hls_3_1,
+              Row("const_hls_3_1", "cmp", 1e-14,
+                  "sharp bilinear constant closed form, dimension 3")),
+    ]
 
 
 # -- report writing -------------------------------------------------------
@@ -876,6 +623,9 @@ def _default_outdir(cfg: RunConfig) -> str:
     return cfg.outdir or os.environ.get("HYPVERIFY_OUTDIR", ".")
 
 
+_HEADER = ("check_id", "anchor", "lhs", "rhs", "tol", "rel_err", "pass")
+
+
 def _write_report(rows, cfg: RunConfig) -> str:
     path = cfg.out_path
     if path is None:
@@ -886,42 +636,20 @@ def _write_report(rows, cfg: RunConfig) -> str:
         with open(path, "w", newline="") as fh:
             fh.write(f"# suite={cfg.suite} seed={cfg.seed}\n")
             writer = csv.writer(fh)
-            writer.writerow(
-                ["check_id", "anchor", "lhs", "rhs", "tol", "rel_err", "pass"]
-            )
+            writer.writerow(_HEADER)
             for r in rows:
-                writer.writerow(
-                    [
-                        r.check_id,
-                        r.anchor,
-                        _fmt(r.lhs),
-                        _fmt(r.rhs),
-                        _fmt(r.tol),
-                        _fmt(r.rel_err),
-                        str(r.passed).lower(),
-                    ]
-                )
+                nums = [_fmt(x) for x in (r.lhs, r.rhs, r.tol, r.rel_err)]
+                writer.writerow([r.check_id, r.anchor, *nums, str(r.passed).lower()])
     else:
         def num(x):
             # crashed checks carry NaN; JSON has no NaN, so emit null
             return x if math.isfinite(x) else None
 
-        doc = {
-            "suite": cfg.suite,
-            "seed": cfg.seed,
-            "rows": [
-                {
-                    "check_id": r.check_id,
-                    "anchor": r.anchor,
-                    "lhs": num(r.lhs),
-                    "rhs": num(r.rhs),
-                    "tol": num(r.tol),
-                    "rel_err": num(r.rel_err),
-                    "pass": r.passed,
-                }
-                for r in rows
-            ],
-        }
+        doc = {"suite": cfg.suite, "seed": cfg.seed, "rows": []}
+        for r in rows:
+            nums = [num(x) for x in (r.lhs, r.rhs, r.tol, r.rel_err)]
+            fields = [r.check_id, r.anchor, *nums, r.passed]
+            doc["rows"].append(dict(zip(_HEADER, fields)))
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
@@ -931,15 +659,29 @@ def _write_report(rows, cfg: RunConfig) -> str:
 def run_suite(cfg: RunConfig) -> tuple[int, str]:
     """Run one suite (or all of them); returns (exit status, report path)."""
     rng = np.random.default_rng(cfg.seed)
-    names = [s for s in SUITES[:-1]] if cfg.suite == "all" else [cfg.suite]
+    names = SUITES[:-1] if cfg.suite == "all" else (cfg.suite,)
+    table = _check_table(cfg)
     rows: list[CheckRow] = []
-    for name in names:
-        rows.extend(_SUITE_FNS[name](cfg, rng))
+    errors: dict[str, str] = {}
+    for check in (c for name in names for c in table if c.suite == name):
+        try:
+            vals = check.fn(cfg, rng)
+            if len(vals) != 2 * len(check.rows):
+                raise ValueError(f"{len(vals)} numbers for {len(check.rows)} rows")
+            rows.extend([
+                _BUILDERS[row.kind](row.check_id, row.anchor, lhs, rhs, row.tol)
+                for row, lhs, rhs in zip(check.rows, vals[::2], vals[1::2])
+            ])
+        except Exception as exc:
+            for row in check.rows:
+                rows.append(_failed_row(row.check_id, row.anchor, row.tol))
+                errors[row.check_id] = f"{type(exc).__name__}: {exc}"
     path = _write_report(rows, cfg)
     failed = [r for r in rows if not r.passed]
     for r in sorted(failed, key=lambda r: r.check_id):
+        raised = f"; raised {errors[r.check_id]}" if r.check_id in errors else ""
         print(
-            f"FAIL {r.check_id}: rel_err {_fmt(r.rel_err)} tol {_fmt(r.tol)}",
+            f"FAIL {r.check_id}: rel_err {_fmt(r.rel_err)} tol {_fmt(r.tol)}{raised}",
             file=sys.stderr,
         )
     print(f"{len(rows) - len(failed)}/{len(rows)} checks passed -> {path}")
@@ -959,52 +701,35 @@ def tabulate_kernel(kind: str, rho_list, n: int, out_path: str | None = None,
     spectral-route value for the inverse kernel, where the table then
     doubles as a two-route comparison; otherwise it is left empty.
     """
-    import numpy as np
-    from hypverify.kernels import (
-        heat_kernel,
-        limiting_green_kernel,
-        product_resolvent_h5,
-        qk_inverse_kernel,
-        resolvent_kernel,
-        _resolvent_closed_odd,
-    )
-    from hypverify.radial import make_radial_grid
-
     rho = np.asarray(list(rho_list), dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("rho values must be positive")
     ref = None
     if kind == "heat":
-        vals = heat_kernel(t, rho, n) if rho.size else np.empty(0)
+        vals = kernels.heat_kernel(t, rho, n) if rho.size else np.empty(0)
         if n == 3 and rho.size:
-            ref = (
-                (4.0 * math.pi * t) ** -1.5
-                * math.exp(-t)
-                * (rho / np.sinh(rho))
-                * np.exp(-(rho**2) / (4.0 * t))
-            )
+            ref = _heat_closed_form(t, rho)
     elif kind == "resolvent":
-        vals = resolvent_kernel(lam0, rho, n) if rho.size else np.empty(0)
+        vals = kernels.resolvent_kernel(lam0, rho, n) if rho.size else np.empty(0)
         if n % 2 == 1 and rho.size:
-            ref = _resolvent_closed_odd(lam0, rho, n)
+            ref = kernels._resolvent_closed_odd(lam0, rho, n)
     elif kind == "green":
-        vals = limiting_green_kernel(rho, n) if rho.size else np.empty(0)
+        vals = kernels.limiting_green_kernel(rho, n) if rho.size else np.empty(0)
         if n == 3 and rho.size:
             ref = 1.0 / (4.0 * math.pi * np.sinh(rho))
     elif kind == "product-resolvent":
         if n != 5:
             raise ValueError("the product kernel lives in dimension 5")
-        vals = product_resolvent_h5(-4.0, -3.0, rho) if rho.size else np.empty(0)
+        vals = kernels.product_resolvent_h5(-4.0, -3.0, rho) if rho.size else np.empty(0)
         if rho.size:
             ref = (np.cosh(rho) - 1.0) / (8.0 * math.pi**2 * np.sinh(rho) ** 3)
     elif kind == "qk-inverse":
         if rho.size:
-            grid = make_radial_grid(rho_max=float(np.max(rho)) * 1.2 + 1.0,
-                                    num_nodes=512)
-            from scipy.interpolate import CubicSpline
-
-            conv = qk_inverse_kernel(grid, n, 2 if n >= 5 else 1, route="convolution")
-            spect = qk_inverse_kernel(grid, n, 2 if n >= 5 else 1, route="spectral")
+            grid = radial.make_radial_grid(rho_max=float(np.max(rho)) * 1.2 + 1.0,
+                                           num_nodes=512)
+            order = 2 if n >= 5 else 1
+            conv = kernels.qk_inverse_kernel(grid, n, order, route="convolution")
+            spect = kernels.qk_inverse_kernel(grid, n, order, route="spectral")
             vals = CubicSpline(grid.nodes, conv)(rho)
             ref = CubicSpline(grid.nodes, spect)(rho)
         else:
@@ -1040,14 +765,12 @@ def tabulate_kernel(kind: str, rho_list, n: int, out_path: str | None = None,
 
 
 def print_constants(n: int, k: int, stream=None) -> None:
-    from hypverify.inequalities import hls_constant, riesz_gamma, sobolev_constant
-
     stream = stream or sys.stdout
     lam = n - 2 * k
-    s_nk = sobolev_constant(n, k)
-    c = hls_constant(n, float(lam))
-    g = riesz_gamma(2.0 * k, n)
-    s31 = sobolev_constant(3, 1)
+    s_nk = inequalities.sobolev_constant(n, k)
+    c = inequalities.hls_constant(n, float(lam))
+    g = inequalities.riesz_gamma(2.0 * k, n)
+    s31 = inequalities.sobolev_constant(3, 1)
     ref31 = 3.0 * (math.pi / 2.0) ** (4.0 / 3.0)
     print(f"S({n},{k})       = {_fmt(s_nk)}", file=stream)
     print(f"C({n},{lam})       = {_fmt(c)}", file=stream)

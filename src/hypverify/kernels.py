@@ -68,7 +68,8 @@ def _check_dimension(n: int) -> None:
 
 def _positive_rho(rho) -> np.ndarray:
     out = np.asarray(rho, dtype=float)
-    if np.any(out <= 0.0):
+    # all(> 0) rather than any(<= 0), so that NaN fails too
+    if not np.all(out > 0.0):
         raise ValueError("kernels are evaluated at rho > 0")
     return out
 
@@ -520,44 +521,3 @@ class RecursionCoefficients:
 def sinh_recursion_coeffs(k: int) -> RecursionCoefficients:
     """Exact integer coefficients of the 2k-fold ladder on 1/sinh."""
     return RecursionCoefficients(k, tuple(sinh_expansion_coefficients(k)))
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A named radial kernel paired with its spectral symbol.
-
-    The pairing is what the dual-route tests consume: the forward
-    transform of ``kernel_fn`` values must reproduce ``symbol`` on the
-    spectral grid.
-    """
-
-    name: str
-    kernel_fn: object
-    symbol: MultiplierSpec
-
-    def __call__(self, rho, n: int):
-        return self.kernel_fn(rho, n)
-
-    @staticmethod
-    def heat(t: float) -> "KernelSpec":
-        sym = MultiplierSpec.custom(
-            f"heat({t:g})",
-            lambda lam, n: np.exp(-t * ((n - 1) ** 2 + lam**2) / 4.0),
-        )
-        return KernelSpec(f"heat t={t:g}", lambda rho, n: heat_kernel(t, rho, n), sym)
-
-    @staticmethod
-    def resolvent(lam0: float) -> "KernelSpec":
-        return KernelSpec(
-            f"resolvent shift={lam0:g}",
-            lambda rho, n: resolvent_kernel(lam0, rho, n),
-            MultiplierSpec.resolvent_shift(lam0),
-        )
-
-    @staticmethod
-    def limiting_green() -> "KernelSpec":
-        return KernelSpec(
-            "limiting green",
-            lambda rho, n: limiting_green_kernel(rho, n),
-            MultiplierSpec.gjms_gap(1).reciprocal(),
-        )

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -139,16 +138,6 @@ def plancherel_density(lam, n: int):
         )
         out[nz] = np.exp(-2.0 * log_c.real)
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class PlancherelDensity:
-    """Callable |c|^(-2) bound to a fixed dimension."""
-
-    n: int
-
-    def __call__(self, lam):
-        return plancherel_density(lam, self.n)
 
 
 def _mehler_constant(n: int) -> float:

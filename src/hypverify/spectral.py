@@ -131,31 +131,27 @@ def _check_tail(grid: SpectralGrid, contrib: np.ndarray, tol, label: str) -> Non
 
 def forward_transform(values, grid: RadialGrid, n: int, lam):
     """fhat at the requested lambdas for a profile sampled on the grid."""
-    lam_arr = np.atleast_1d(
-        lam.nodes if isinstance(lam, SpectralGrid) else np.asarray(lam, dtype=float)
-    )
+    lam_arr = lam.nodes if isinstance(lam, SpectralGrid) else np.asarray(lam, dtype=float)
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
         raise ValueError("values must be sampled on the grid nodes")
-    phi = phi_matrix(lam_arr, grid.nodes, n)
+    phi = phi_matrix(np.atleast_1d(lam_arr), grid.nodes, n)
     w = grid.weights * np.sinh(grid.nodes) ** (n - 1)
     out = sphere_area(n) * (phi @ (values * w))
-    return float(out[0]) if np.ndim(lam) == 0 else out
+    return float(out[0]) if lam_arr.ndim == 0 else out
 
 
 def inverse_transform(fhat, grid: SpectralGrid, n: int, rho, tail_tol=1e-5):
     """Profile values at rho from transform samples on the spectral grid."""
-    rho_arr = np.atleast_1d(
-        rho.nodes if isinstance(rho, RadialGrid) else np.asarray(rho, dtype=float)
-    )
+    rho_arr = rho.nodes if isinstance(rho, RadialGrid) else np.asarray(rho, dtype=float)
     fhat = np.asarray(fhat, dtype=float)
     if fhat.shape != grid.nodes.shape:
         raise ValueError("fhat must be sampled on the spectral grid nodes")
     dens = plancherel_density(grid.nodes, n)
     _check_tail(grid, fhat * dens, tail_tol, "inverse transform")
-    phi = phi_matrix(grid.nodes, rho_arr, n)
+    phi = phi_matrix(grid.nodes, np.atleast_1d(rho_arr), n)
     out = plancherel_prefactor(n) * ((fhat * dens * grid.weights) @ phi)
-    return float(out[0]) if np.ndim(rho) == 0 else out
+    return float(out[0]) if rho_arr.ndim == 0 else out
 
 
 def plancherel_check(values, grid: RadialGrid, n: int, sgrid: SpectralGrid, tail_tol=1e-5):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hypverify import cli
-from hypverify.cli import CheckRow, RunConfig, main, run_suite, tabulate_kernel
+from hypverify.cli import RunConfig, main, run_suite, tabulate_kernel
 
 HEADER = ["check_id", "anchor", "lhs", "rhs", "tol", "rel_err", "pass"]
 
@@ -105,15 +105,17 @@ class TestVerifyReports:
     def test_failing_rows_exit_nonzero_but_report_written(
         self, tmp_path, monkeypatch, capsys
     ):
-        def broken(cfg, rng):
+        def broken(cfg):
             return [
-                CheckRow("zz_bad", "a check that fails", 2.0, 1.0, 1e-6, 1.0,
-                         False),
-                CheckRow("aa_good", "a check that passes", 1.0, 1.0, 1e-6,
-                         0.0, True),
+                cli.Check(
+                    "constants",
+                    lambda cfg, rng: (2.0, 1.0, 1.0, 1.0),
+                    cli.Row("zz_bad", "cmp", 1e-6, "a check that fails"),
+                    cli.Row("aa_good", "cmp", 1e-6, "a check that passes"),
+                )
             ]
 
-        monkeypatch.setitem(cli._SUITE_FNS, "constants", broken)
+        monkeypatch.setattr(cli, "_check_table", broken)
         out = tmp_path / "r.csv"
         code = main(["verify", "--suite", "constants", "--out", str(out)])
         assert code == 1
@@ -122,14 +124,16 @@ class TestVerifyReports:
         assert "1/2 checks passed" in captured.out
         _, _, rows = read_report(out)
         assert [r[0] for r in rows] == ["aa_good", "zz_bad"]
+        assert [r[5:] for r in rows] == [["0", "true"], ["1", "false"]]
 
-    def test_crashed_check_becomes_nan_row(self, tmp_path, monkeypatch):
-        def crashing(cfg, rng):
-            rows = []
-            cli._collect(rows, lambda: 1 / 0, "zz_crash", "explodes", 1e-6)
-            return rows
+    def test_crashed_check_becomes_nan_row(self, tmp_path, monkeypatch, capsys):
+        def crashing(cfg):
+            return [
+                cli.Check("constants", lambda cfg, rng: 1 / 0,
+                          cli.Row("zz_crash", "cmp", 1e-6, "explodes"))
+            ]
 
-        monkeypatch.setitem(cli._SUITE_FNS, "constants", crashing)
+        monkeypatch.setattr(cli, "_check_table", crashing)
         out = tmp_path / "r.json"
         code = main(["verify", "--suite", "constants", "--format", "json",
                      "--out", str(out)])
@@ -137,6 +141,41 @@ class TestVerifyReports:
         row = json.loads(out.read_text())["rows"][0]
         assert row["pass"] is False
         assert row["lhs"] is None and row["rel_err"] is None
+        err = capsys.readouterr().err
+        assert "FAIL zz_crash" in err
+        assert "ZeroDivisionError" in err
+
+    def test_crash_rows_carry_the_declared_anchor_and_tol(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        table = cli._check_table
+
+        def boom(cfg, rng):
+            raise RuntimeError("forced")
+
+        def all_crash(cfg):
+            return [cli.Check(c.suite, boom, *c.rows) for c in table(cfg)]
+
+        monkeypatch.setattr(cli, "_check_table", all_crash)
+        out = tmp_path / "r.json"
+        code = main(["verify", "--suite", "all", "--format", "json",
+                     "--out", str(out)])
+        assert code == 1
+        assert "0/50 checks passed" in capsys.readouterr().out
+        declared = {row.check_id: row for c in table(RunConfig()) for row in c.rows}
+        rows = json.loads(out.read_text())["rows"]
+        ids = [r["check_id"] for r in rows]
+        assert len(set(ids)) == len(ids) == 50
+        assert ids == sorted(declared)
+        for r in rows:
+            want = declared[r["check_id"]]
+            assert want.kind in ("cmp", "bound")
+            assert r["pass"] is False
+            assert r["lhs"] is None and r["rhs"] is None and r["rel_err"] is None
+            assert (r["anchor"], r["tol"]) == (want.anchor, want.tol)
+        # the passing rows of these two state their parameters in the anchor
+        assert declared["exact_ladder_recursion"].anchor.endswith("k <= 6")
+        assert "on 210 monomial cases" in declared["exact_conjugation_monomials"].anchor
 
     def test_invalid_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,6 @@ from scipy.special import digamma
 
 from hypverify.exact import LaurentElement
 from hypverify.kernels import (
-    KernelSpec,
     RecursionCoefficients,
     _resolvent_closed_odd,
     frac_resolvent_h3,
@@ -113,6 +112,10 @@ class TestHeatProperties:
             heat_kernel(-0.5, np.array([1.0]), 3)
         with pytest.raises(ValueError):
             heat_kernel(0.5, np.array([0.0, 1.0]), 3)
+        for n in (3, 4):
+            # NaN is not a positive distance, in the odd and the even branch
+            with pytest.raises(ValueError):
+                heat_kernel(1.0, np.array([np.nan, 1.0]), n)
         with pytest.raises(ValueError):
             heat_kernel(0.5, np.array([1.0]), 1)
 
@@ -402,30 +405,3 @@ class TestRecursionCoefficients:
         arr = sinh_recursion_coeffs(1).as_floats()
         assert arr.dtype == float
         assert np.array_equal(arr, [2.0, 3.0])
-
-
-class TestKernelSpec:
-    def test_heat_wiring(self, grid12):
-        spec = KernelSpec.heat(0.5)
-        got = spec(grid12.nodes[:8], 3)
-        want = heat_kernel(0.5, grid12.nodes[:8], 3)
-        assert np.array_equal(got, want)
-        lam = np.array([0.5, 2.0])
-        assert np.allclose(
-            spec.symbol(lam, 3), np.exp(-0.5 * (4.0 + lam**2) / 4.0)
-        )
-
-    def test_resolvent_wiring(self):
-        spec = KernelSpec.resolvent(1.0)
-        lam = np.array([1.0])
-        assert spec.symbol(lam, 3)[0] == pytest.approx(1.0 / (5.0 / 4.0 + 1.0))
-        assert spec(np.array([1.0]), 3)[0] == pytest.approx(
-            _resolvent_closed_odd(1.0, np.array([1.0]), 3)[0], rel=1e-12
-        )
-
-    def test_limiting_green_wiring(self):
-        spec = KernelSpec.limiting_green()
-        assert spec.symbol(np.array([2.0]), 5)[0] == pytest.approx(1.0)
-        assert spec(np.array([1.0]), 5)[0] == pytest.approx(
-            math.cosh(1.0) / (8.0 * math.pi**2 * math.sinh(1.0) ** 3), rel=1e-13
-        )

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hypverify.radial import radial_laplacian
 from hypverify.specialfn import (
-    PlancherelDensity,
     harish_chandra_c,
     log_gamma_complex,
     phi_matrix,
@@ -153,10 +152,6 @@ class TestPlancherelDensity:
             assert np.allclose(
                 plancherel_density(lam, n), plancherel_density(-lam, n), rtol=1e-12
             )
-
-    def test_callable_wrapper(self):
-        d = PlancherelDensity(3)
-        assert d(2.0) == pytest.approx(1.0)
 
 
 class TestSphericalFunction:

@@ -81,6 +81,9 @@ class TestRoundTrip:
         for n, f in _battery(grid12.nodes):
             fhat = forward_transform(f, grid12, n, sgrid40.nodes)
             back = inverse_transform(fhat, sgrid40, n, grid12.nodes)
+            # a grid object stands for its nodes
+            assert np.array_equal(forward_transform(f, grid12, n, sgrid40), fhat)
+            assert np.array_equal(inverse_transform(fhat, sgrid40, n, grid12), back)
             rel = np.max(np.abs(back - f)) / np.max(np.abs(f))
             assert rel < 1e-8, (n, rel)
 
@@ -206,6 +209,13 @@ class TestMultipliers:
         lap = MultiplierSpec.laplacian()
         assert np.allclose(
             res(lam, 5) * (lap(lam, 5) - 7.0 / 4.0), 1.0, rtol=1e-14
+        )
+        one = np.array([1.0])
+        assert MultiplierSpec.resolvent_shift(1.0)(one, 3)[0] == pytest.approx(
+            1.0 / (5.0 / 4.0 + 1.0)
+        )
+        assert MultiplierSpec.gjms_gap(1).reciprocal()(np.array([2.0]), 5)[0] == (
+            pytest.approx(1.0)
         )
 
     def test_bad_order(self):
