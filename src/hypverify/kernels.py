@@ -45,13 +45,12 @@ the same device the radial Laplacian uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import kv, roots_jacobi, roots_legendre
 
-from hypverify.exact import LaurentElement, sinh_expansion_coefficients
+from hypverify.exact import LaurentElement
 from hypverify.radial import RadialGrid, convolve_with_kernel
 from hypverify.spectral import (
     MultiplierSpec,
@@ -490,34 +489,3 @@ def qk_inverse_kernel(
     dens = plancherel_density(sgrid.nodes, n)
     phi = phi_matrix(sgrid.nodes, grid.nodes, n)
     return plancherel_prefactor(n) * ((sym * dens * sgrid.weights) @ phi)
-
-
-# -- recursion coefficients and kernel descriptors ------------------------
-
-
-@dataclass(frozen=True)
-class RecursionCoefficients:
-    """Coefficients a_i of L^(2k)(1/sinh) = sum a_i sinh^(-(2k+1+2i))."""
-
-    k: int
-    coefficients: tuple
-
-    @property
-    def powers(self) -> tuple:
-        return tuple(2 * self.k + 1 + 2 * i for i in range(len(self.coefficients)))
-
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coefficients])
-
-    def evaluate(self, rho) -> np.ndarray:
-        r = np.asarray(rho, dtype=float)
-        s = np.sinh(r)
-        out = np.zeros_like(r)
-        for a, p in zip(self.coefficients, self.powers):
-            out = out + float(a) * s ** (-p)
-        return out
-
-
-def sinh_recursion_coeffs(k: int) -> RecursionCoefficients:
-    """Exact integer coefficients of the 2k-fold ladder on 1/sinh."""
-    return RecursionCoefficients(k, tuple(sinh_expansion_coefficients(k)))

@@ -70,6 +70,20 @@ def _panel_nodes(bounds: np.ndarray, order: int):
     return nodes, weights
 
 
+def _graded_bounds(top: float, num_nodes: int, inner: float, order: int) -> np.ndarray:
+    # panel edges on [0, top]: [0, inner], geometric panels to 1, then
+    # uniform panels; about num_nodes / order panels in all
+    panels = max(4, num_nodes // order)
+    if top <= 1.0:
+        return np.concatenate([[0.0], np.geomspace(inner, top, panels)])
+    rest = panels - 1
+    n_geo = rest // 2
+    n_uni = rest - n_geo
+    geo = np.geomspace(inner, 1.0, n_geo + 1)
+    uni = np.linspace(1.0, top, n_uni + 1)
+    return np.concatenate([[0.0], geo, uni[1:]])
+
+
 def make_radial_grid(
     rho_max: float = 20.0,
     num_nodes: int = 2048,
@@ -97,17 +111,7 @@ def make_radial_grid(
     if kind != "graded":
         raise ValueError("kind must be 'graded' or 'uniform'")
 
-    panels = max(4, num_nodes // order)
-    if rho_max <= 1.0:
-        geo = np.geomspace(inner, rho_max, panels)
-        bounds = np.concatenate([[0.0], geo])
-    else:
-        rest = panels - 1
-        n_geo = rest // 2
-        n_uni = rest - n_geo
-        geo = np.geomspace(inner, 1.0, n_geo + 1)
-        uni = np.linspace(1.0, rho_max, n_uni + 1)
-        bounds = np.concatenate([[0.0], geo, uni[1:]])
+    bounds = _graded_bounds(rho_max, num_nodes, inner, order)
     nodes, weights = _panel_nodes(bounds, order)
     return RadialGrid(nodes, weights, rho_max)
 

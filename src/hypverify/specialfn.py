@@ -5,7 +5,8 @@ and the spherical function phi_lambda solves
 
     -Delta phi = ((n-1)^2 + lambda^2)/4 * phi,   phi(0) = 1.
 
-phi is evaluated through its integral representation
+Two routes evaluate phi.  ``spherical_function`` (every n) and
+``phi_matrix`` in even n and odd n > 9 use the integral representation
 
     phi_lambda(rho) = C_n (sinh rho)^(2-n)
                       int_0^rho cos(lambda s / 2) (cosh rho - cosh s)^((n-3)/2) ds
@@ -19,8 +20,18 @@ variable, so the node count simply tracks lambda * rho.  Substitutions
 that map the endpoint singularity away instead (s -> psi with
 cosh s = cosh rho - 2 sinh^2(rho/2) cos^2 psi) compress the phase into
 a layer of width e^(-rho/2) and lose accuracy for large rho; that is
-why the Jacobi route is the one implemented.  In dimension 3 the
-representation collapses to 2 sin(lambda rho / 2)/(lambda sinh rho).
+why the quadrature is in s.
+
+In odd n from 3 to 9, ``phi_matrix`` uses the exact closed form instead: from
+phi_3 = 2 sin(lambda rho / 2)/(lambda sinh rho), the ladder
+phi_(n+2) = 4n/((n-1)^2 + lambda^2) * (-(1/sinh rho) d/drho) phi_n gives
+a finite sum of trigonometric terms with exact rational coefficients
+(built on ``exact.LaurentElement``), and the Gauss series of
+2F1((n-1)/4 + i lambda/4, (n-1)/4 - i lambda/4; n/2; -sinh^2 rho)
+covers the corner near rho = 0 where those terms cancel.  That
+cancellation grows with n, so odd n > 9 keep the quadrature.  The
+quadrature of ``spherical_function`` serves as the independent oracle
+for the closed form.
 
 The density |c(lambda)|^(-2) of the inversion measure comes from the
 gamma-quotient form of c; a self-contained complex log-gamma keeps the
@@ -32,9 +43,13 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
+
+from hypverify.exact import LaurentElement
 
 # Lanczos approximation, g = 7, 9 terms: relative error < 1e-13 on the
 # right half plane after reflection.
@@ -92,6 +107,18 @@ def log_gamma_complex(z):
     return out[0] if scalar else out
 
 
+def _log_c(lam: np.ndarray, n: int) -> np.ndarray:
+    # log c(lambda) from the gamma quotient, lam a nonzero 1-d array
+    il = 1j * lam
+    return (
+        (n - 1 - il) * math.log(2.0)
+        + math.lgamma(n / 2.0)
+        + log_gamma_complex(il)
+        - log_gamma_complex((n - 1 + il) / 2.0)
+        - log_gamma_complex((1 + il) / 2.0)
+    )
+
+
 def harish_chandra_c(lam, n: int):
     """The c-function of H^n in gamma-quotient form.
 
@@ -105,15 +132,7 @@ def harish_chandra_c(lam, n: int):
     if np.any(lam == 0.0):
         raise ValueError("c(lambda) has a pole at lambda = 0")
     scalar = lam.ndim == 0
-    il = 1j * np.atleast_1d(lam)
-    log_c = (
-        (n - 1 - il) * math.log(2.0)
-        + math.lgamma(n / 2.0)
-        + log_gamma_complex(il)
-        - log_gamma_complex((n - 1 + il) / 2.0)
-        - log_gamma_complex((1 + il) / 2.0)
-    )
-    out = np.exp(log_c)
+    out = np.exp(_log_c(np.atleast_1d(lam), n))
     return complex(out[0]) if scalar else out
 
 
@@ -128,15 +147,7 @@ def plancherel_density(lam, n: int):
     out = np.zeros(lam.shape)
     nz = lam != 0.0
     if np.any(nz):
-        il = 1j * lam[nz]
-        log_c = (
-            (n - 1 - il) * math.log(2.0)
-            + math.lgamma(n / 2.0)
-            + log_gamma_complex(il)
-            - log_gamma_complex((n - 1 + il) / 2.0)
-            - log_gamma_complex((1 + il) / 2.0)
-        )
-        out[nz] = np.exp(-2.0 * log_c.real)
+        out[nz] = np.exp(-2.0 * _log_c(lam[nz], n).real)
     return float(out[0]) if scalar else out
 
 
@@ -241,6 +252,148 @@ def spherical_function(lam, rho, n: int, num_nodes: int | None = None):
     return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
+@lru_cache(maxsize=None)
+def _odd_ladder(m: int):
+    """Float terms of the closed form of phi in dimension n = 2m + 1, m >= 1.
+
+    phi = prod_{j<m} 4(2j+1)/((2j)^2 + lam^2) * L^m cos(t), t = lam rho / 2,
+    L = -(1/sinh) d/drho, climbing from phi_1 = cos(t) by
+    phi_{n+2} = 4n/((n-1)^2 + lam^2) L phi_n.  L^m cos(t) is
+    sum_q lam^q (C_q cos t + S_q sin t) with exact ``LaurentElement``s
+    C_q (q even) and S_q (q odd).  Writing sin t = lam (rho/2) sinc t
+    turns every power of lam even and at least 2, so the j = 0 factor
+    4/lam^2 cancels exactly and lam = 0 needs no special case:
+
+        phi = prod_{0<j<m} 4(2j+1)/((2j)^2 + lam^2)
+              * sum_i lam^(2i) (A_i cos t + rho B_i sinc t),
+        A_i = 4 C_(2i+2),  B_i = 2 S_(2i+1).
+
+    Returns (A, B), each a tuple over i of terms (k, eps, c) standing for
+    c sinh^(-k) coth^eps (cosh sinh^p = coth sinh^(p+1), so no term
+    overflows at large rho).
+    """
+    inv = LaurentElement.inv_sinh()
+    half = Fraction(1, 2)
+    terms = {0: (LaurentElement.one(), LaurentElement())}
+    for _ in range(m):
+        nxt = {}
+        for q, (c, s) in terms.items():
+            # L(E cos t) = (LE) cos t + (lam/2)(E/sinh) sin t
+            # L(E sin t) = (LE) sin t - (lam/2)(E/sinh) cos t
+            for key, dc, ds in (
+                (q, c.apply_inv_sinh_derivative(), s.apply_inv_sinh_derivative()),
+                (q + 1, -(s * inv) * half, (c * inv) * half),
+            ):
+                c0, s0 = nxt.get(key, (LaurentElement(), LaurentElement()))
+                nxt[key] = (c0 + dc, s0 + ds)
+        terms = nxt
+
+    def floats(elem: LaurentElement, scale: int):
+        return tuple(
+            (-p - e, e, float(scale * coef)) for (p, e), coef in sorted(elem.terms.items())
+        )
+
+    zero = (LaurentElement(), LaurentElement())
+    A = tuple(floats(terms.get(2 * i + 2, zero)[0], 4) for i in range((m + 1) // 2))
+    B = tuple(floats(terms.get(2 * i + 1, zero)[1], 2) for i in range((m + 1) // 2))
+    return A, B
+
+
+def _odd_radial_rows(rho: np.ndarray, n: int):
+    # A_i(rho) and rho B_i(rho) of _odd_ladder at rho > 0, in sinh^-1 and coth
+    A, B = _odd_ladder((n - 1) // 2)
+    r = rho[rho > 0.0]
+    inv_sinh = 2.0 * np.exp(-r) / -np.expm1(-2.0 * r)
+    coth = 1.0 / np.tanh(r)
+
+    def row(terms):
+        out = np.zeros_like(r)
+        for k, e, c in terms:
+            out += c * inv_sinh**k * coth**e
+        return out
+
+    return [row(a) for a in A], [r * row(b) for b in B]
+
+
+# phi_matrix entries with rho^2 + (lam rho / 2)^2 below this take the Gauss
+# series: there the ladder terms cancel, while sinh^2 rho < 0.59 and
+# (lam sinh rho)^2 < 2.4 keep the series' term ratio below 0.7
+_SERIES_SEAM = 0.5
+
+# Largest odd n that phi_matrix takes by the closed form.  Just outside the
+# seam the ladder loses about eps (2l+1)!! (2l-1)!! / (rho^2 + t^2)^l,
+# l = (n-3)/2, relative to phi_0: against mpmath hyp2f1 the worst seam
+# probe is 3e-16, 2e-15, 5e-14, 2e-12 at n = 3, 5, 7, 9 but 3e-10, 2e-8,
+# 1e-5 at n = 11, 13, 15, so larger n keep the Jacobi quadrature.
+_CLOSED_FORM_MAX_N = 9
+
+
+def _gauss_series(lam: np.ndarray, rho: np.ndarray, n: int) -> np.ndarray:
+    # 2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho); the
+    # term ratio x ((a + k)^2 + lam^2/16) / ((n/2 + k)(k + 1)) is real and
+    # below 1 in modulus.  Entries are sorted by |x|, so the ones still
+    # converging are a prefix that shrinks as the terms fall below 1e-17
+    # (phi > 0.6 in the series region for the n <= 9 that reach it, so
+    # below an ulp of phi).
+    order = np.argsort(-rho)
+    x = -np.sinh(rho[order]) ** 2
+    l2 = lam[order] ** 2 / 16.0
+    a = 0.25 * (n - 1)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    k = 0
+    end = x.size
+    while True:
+        big = np.flatnonzero(np.abs(term[:end]) > 1e-17)
+        if big.size == 0:
+            break
+        end = int(big[-1]) + 1
+        term[:end] *= x[:end] * ((a + k) ** 2 + l2[:end]) / ((0.5 * n + k) * (k + 1))
+        total[:end] += term[:end]
+        k += 1
+    out = np.empty_like(total)
+    out[order] = total
+    return out
+
+
+def _phi_rows_odd(lam: np.ndarray, rho: np.ndarray, n: int, radial_rows) -> np.ndarray:
+    """Rows phi[lam_i, rho_j] for odd 3 <= n <= 9 from the closed form.
+
+    ``radial_rows`` holds A_i(rho) and rho B_i(rho) of ``_odd_ladder``
+    at every rho > 0 (rho <= 0 gives 1, as in the Jacobi route).
+    """
+    A, B = radial_rows
+    m = (n - 1) // 2
+    pos = rho > 0.0
+    r = rho[pos]
+    l2 = (lam * lam)[:, None]
+    t = 0.5 * lam[:, None] * r[None, :]
+    sinc = np.sin(t)
+    nz = t != 0.0
+    sinc[nz] /= t[nz]
+    sinc[~nz] = 1.0
+    cos_part = np.zeros_like(t)
+    sinc_part = np.zeros_like(t)
+    power = np.ones_like(l2)
+    for a_i, b_i in zip(A, B):
+        cos_part += power * a_i
+        sinc_part += power * b_i
+        power = power * l2
+    vals = cos_part * np.cos(t) + sinc_part * sinc
+    for j in range(1, m):
+        vals *= 4.0 * (2 * j + 1) / ((2 * j) ** 2 + l2)
+
+    near = np.flatnonzero(r * r < _SERIES_SEAM)
+    rows, cols = np.nonzero(r[near] ** 2 + t[:, near] ** 2 < _SERIES_SEAM)
+    if rows.size:
+        cols = near[cols]
+        vals[rows, cols] = _gauss_series(lam[rows], r[cols], n)
+
+    out = np.ones((lam.size, rho.size))
+    out[:, pos] = vals
+    return out
+
+
 _PHI_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _PHI_CACHE_MAX = 8
 
@@ -248,15 +401,22 @@ _PHI_CACHE_MAX = 8
 def phi_matrix(lam, rho, n: int, chunk: int = 64) -> np.ndarray:
     """Matrix phi[lam_i, rho_j] for grid-sized argument arrays.
 
-    Work is chunked over lambda so the quadrature size tracks each
-    chunk's largest phase, and results are cached on the byte content
-    of the two arrays (transform pipelines hit the same grids over and
-    over).  The returned array is read-only; copy before mutating.
+    Odd 3 <= n <= 9 uses the exact closed form (``_odd_ladder``): two
+    trigonometric evaluations per entry, with the Gauss series
+    2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho) where
+    rho^2 + (lam rho / 2)^2 < 1/2.  Other n use the Jacobi quadrature of
+    ``spherical_function``, its size tracking each lambda chunk's
+    largest phase.  Work is chunked over lambda, and results are cached
+    on the byte content of the two arrays (transform pipelines hit the
+    same grids over and over).  The returned array is read-only; copy
+    before mutating.  Non-finite lam or rho raise ValueError.
     """
     lam = np.ascontiguousarray(np.asarray(lam, dtype=float))
     rho = np.ascontiguousarray(np.asarray(rho, dtype=float))
     if lam.ndim != 1 or rho.ndim != 1:
         raise ValueError("lam and rho must be 1-d arrays")
+    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(rho))):
+        raise ValueError("lam and rho must be finite")
     key = (int(n), lam.tobytes(), rho.tobytes())
     hit = _PHI_CACHE.get(key)
     if hit is not None:
@@ -264,11 +424,17 @@ def phi_matrix(lam, rho, n: int, chunk: int = 64) -> np.ndarray:
         return hit
 
     rho_max = float(np.max(rho))
+    odd = n % 2 == 1 and 3 <= n <= _CLOSED_FORM_MAX_N
+    if odd:
+        radial_rows = _odd_radial_rows(rho, n)
     out = np.empty((lam.size, rho.size))
     for s in range(0, lam.size, chunk):
         block = lam[s : s + chunk]
-        num = _node_count(float(np.max(np.abs(block))), rho_max)
-        out[s : s + block.size] = _phi_rows(block, rho, n, num)
+        if odd:
+            out[s : s + block.size] = _phi_rows_odd(block, rho, n, radial_rows)
+        else:
+            num = _node_count(float(np.max(np.abs(block))), rho_max)
+            out[s : s + block.size] = _phi_rows(block, rho, n, num)
     out.flags.writeable = False
     _PHI_CACHE[key] = out
     if len(_PHI_CACHE) > _PHI_CACHE_MAX:

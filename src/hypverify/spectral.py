@@ -37,6 +37,7 @@ import numpy as np
 from hypverify.radial import (
     RadialFunction,
     RadialGrid,
+    _graded_bounds,
     _panel_nodes,
     integrate_radial,
     sphere_area,
@@ -92,17 +93,7 @@ def make_spectral_grid(
     """
     if lam_max <= 0:
         raise ValueError("lam_max must be positive")
-    panels = max(4, num_nodes // order)
-    if lam_max <= 1.0:
-        geo = np.geomspace(inner, lam_max, panels)
-        bounds = np.concatenate([[0.0], geo])
-    else:
-        rest = panels - 1
-        n_geo = rest // 2
-        n_uni = rest - n_geo
-        geo = np.geomspace(inner, 1.0, n_geo + 1)
-        uni = np.linspace(1.0, lam_max, n_uni + 1)
-        bounds = np.concatenate([[0.0], geo, uni[1:]])
+    bounds = _graded_bounds(lam_max, num_nodes, inner, order)
     nodes, weights = _panel_nodes(bounds, order)
     return SpectralGrid(nodes, weights, lam_max)
 

@@ -16,6 +16,7 @@ import pytest
 from hypverify.exact import (
     ball_conjugation_numeric_check,
     halfspace_conjugation_monomial_check,
+    sinh_expansion_coefficients,
     verify_sinh_derivative_recursion,
 )
 from hypverify.inequalities import (
@@ -36,14 +37,11 @@ from hypverify.inequalities import (
     symbol_gap_infimum,
 )
 from hypverify.kernels import (
-    _resolvent_closed_odd,
     fractional_green_h3,
     heat_kernel,
-    limiting_green_kernel,
     product_resolvent_h5,
     qk_inverse_kernel,
     resolvent_kernel,
-    sinh_recursion_coeffs,
 )
 from hypverify.radial import (
     RadialFunction,
@@ -200,7 +198,7 @@ def test_criterion_04_transform_roundtrip_isometry_density():
 def test_criterion_05_exact_suite():
     assert verify_sinh_derivative_recursion(8)
     for k in range(1, 9):
-        assert sinh_recursion_coeffs(k).coefficients[0] == math.factorial(2 * k)
+        assert sinh_expansion_coefficients(k)[0] == math.factorial(2 * k)
 
     cases = 0
     for n in range(3, 13):

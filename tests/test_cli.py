@@ -8,10 +8,15 @@ the suites exercised here are the cheap ones.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypverify
 from hypverify import cli
 from hypverify.cli import RunConfig, main, run_suite, tabulate_kernel
 
@@ -278,3 +283,14 @@ class TestConstantsCommand:
     def test_rejects_supercritical_order(self, capsys):
         assert main(["constants", "--n", "3", "--k", "2"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_runs_as_a_module(self):
+        # `python -m hypverify` reaches the same main()
+        src = str(Path(hypverify.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "hypverify", "constants", "--n", "5", "--k", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "102.3832734405829" in done.stdout

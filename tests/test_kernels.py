@@ -5,9 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import digamma
 
-from hypverify.exact import LaurentElement
+from hypverify.exact import LaurentElement, sinh_expansion_coefficients
 from hypverify.kernels import (
-    RecursionCoefficients,
     _resolvent_closed_odd,
     frac_resolvent_h3,
     fractional_green_h3,
@@ -16,12 +15,10 @@ from hypverify.kernels import (
     product_resolvent_h5,
     qk_inverse_kernel,
     resolvent_kernel,
-    sinh_recursion_coeffs,
 )
 from hypverify.radial import (
     convolve_with_kernel,
     integrate_radial,
-    make_radial_grid,
     radial_convolution,
     radial_laplacian,
 )
@@ -383,13 +380,22 @@ class TestQkInverse:
 
 
 class TestRecursionCoefficients:
+    # the integer rows a_i of L^(2k)(1/sinh) = sum_i a_i sinh^(-(2k+1+2i))
+    # that limiting_green_kernel's ladder rests on
+
     def test_low_orders(self):
-        assert sinh_recursion_coeffs(1).coefficients == (2, 3)
-        assert sinh_recursion_coeffs(2).coefficients == (24, 120, 105)
+        assert sinh_expansion_coefficients(1) == (2, 3)
+        assert sinh_expansion_coefficients(2) == (24, 120, 105)
 
     def test_powers(self):
-        rc = sinh_recursion_coeffs(2)
-        assert rc.powers == (5, 7, 9)
+        # L^4(1/sinh) carries exactly the powers sinh^-5, sinh^-7, sinh^-9
+        elem = LaurentElement.inv_sinh()
+        for _ in range(4):
+            elem = elem.apply_inv_sinh_derivative()
+        powers = [5 + 2 * i for i in range(len(sinh_expansion_coefficients(2)))]
+        assert powers == [5, 7, 9]
+        assert sorted(-p for p, _ in elem.terms) == powers
+        assert all(e == 0 for _, e in elem.terms)
 
     def test_evaluate_matches_ladder(self):
         # 2k ladder steps on 1/sinh, done with exact arithmetic
@@ -398,10 +404,13 @@ class TestRecursionCoefficients:
             elem = LaurentElement.inv_sinh()
             for _ in range(2 * k):
                 elem = elem.apply_inv_sinh_derivative()
-            got = sinh_recursion_coeffs(k).evaluate(rho)
+            got = sum(
+                float(a) * np.sinh(rho) ** -(2 * k + 1 + 2 * i)
+                for i, a in enumerate(sinh_expansion_coefficients(k))
+            )
             assert np.max(np.abs(got / elem.evaluate(rho) - 1.0)) < 1e-12
 
     def test_as_floats(self):
-        arr = sinh_recursion_coeffs(1).as_floats()
+        arr = np.array(sinh_expansion_coefficients(1), dtype=float)
         assert arr.dtype == float
         assert np.array_equal(arr, [2.0, 3.0])

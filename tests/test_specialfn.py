@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,3 +252,66 @@ class TestPhiMatrix:
     def test_rejects_matrices(self):
         with pytest.raises(ValueError):
             phi_matrix(np.zeros((2, 2)), np.ones(3), 3)
+        for n in (3, 4):
+            with pytest.raises(ValueError, match="finite"):
+                phi_matrix(np.ones(2), np.array([1.0, np.nan]), n)
+            with pytest.raises(ValueError, match="finite"):
+                phi_matrix(np.array([np.inf, 1.0]), np.ones(3), n)
+
+    # odd n <= 9: phi_matrix takes the closed form, spherical_function stays
+    # the Jacobi quadrature, so each check below compares two routes.  Odd
+    # n > 9 keep the quadrature in phi_matrix; the closed form would miss
+    # the seam probes by 3e-10 at n = 11 and 2e-8 at n = 13, so the
+    # tolerances below also pin that fallback.
+    ODD_TOL = {3: 5e-15, 5: 5e-14, 7: 5e-13, 9: 5e-12, 11: 2e-11, 13: 2e-11, 21: 5e-11}
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 21])
+    def test_odd_closed_form_matches_jacobi(self, n):
+        lam = np.linspace(0.0, 30.0, 25)
+        rho = np.concatenate([[0.0], np.geomspace(1e-3, 12.0, 30)])
+        mat = phi_matrix(lam, rho, n)
+        spot = spherical_function(lam[:, None], rho[None, :], n)
+        phi0 = spherical_function(0.0, rho, n)
+        assert np.max(np.abs(mat - spot) / phi0) < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 21])
+    def test_odd_against_hypergeometric(self, n):
+        # phi = 2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho),
+        # probed at rho = 0, lam = 0, both sides of the series/ladder seam
+        # rho^2 + (lam rho/2)^2 = 1/2, lam up to 1000 and rho up to 48.
+        # The quadrature of n > 9 would need 18 000 nodes at lam = 1000,
+        # rho = 48 (15 s), so that probe is kept for the closed form only.
+        mp = pytest.importorskip("mpmath")
+
+        def exact(lam, rho):
+            with mp.workdps(30):
+                a = mp.mpf(n - 1) / 4
+                b = 1j * mp.mpf(lam) / 4
+                z = -mp.sinh(mp.mpf(rho)) ** 2
+                return float(mp.re(mp.hyp2f1(a + b, a - b, mp.mpf(n) / 2, z)))
+
+        probes = [(0.0, 0.0), (7.0, 0.0), (1000.0, 0.0), (0.0, 1e-3), (0.0, 0.3),
+                  (0.0, 0.7), (0.0, 0.72), (0.0, 3.0), (0.0, 48.0), (1000.0, 1e-3),
+                  (1000.0, 1.0), (30.0, 48.0), (200.0, 12.0)]
+        if n <= 9:
+            probes.append((1000.0, 48.0))
+        for rho in (0.05, 0.3, 0.6):
+            t = math.sqrt(0.5 - rho * rho)
+            probes += [(2.0 * t * f / rho, rho) for f in (0.999, 1.001)]
+        for lam, rho in probes:
+            got = phi_matrix(np.array([lam]), np.array([rho]), n)[0, 0]
+            err = abs(got - exact(lam, rho)) / exact(0.0, rho)
+            assert err < self.ODD_TOL[n], (lam, rho, float(err))
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_odd_large_rho_finite(self, n):
+        # sinh(800) overflows a double; the closed form never forms it
+        lam = np.array([0.0, 1.0, 40.0])
+        rho = np.array([1.0, 48.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                mat = phi_matrix(lam, rho, n)
+        assert np.all(np.isfinite(mat))
+        phi0 = mat[0]
+        assert np.all(np.abs(mat) <= phi0 * (1.0 + 1e-12))

@@ -11,7 +11,7 @@ from hypverify.radial import (
     make_radial_grid,
     radial_laplacian,
 )
-from hypverify.specialfn import plancherel_density, spherical_function
+from hypverify.specialfn import spherical_function
 from hypverify.spectral import (
     InsufficientDecayError,
     MultiplierSpec,
