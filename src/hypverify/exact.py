@@ -1,12 +1,19 @@
 """Exact rational arithmetic for the operator identities.
 
-Three small engines live here:
+Four pieces live here:
 
 * ``LaurentElement``: the ring of finite sums c * sinh(rho)^p * cosh(rho)^eps
   with Fraction coefficients, integer (possibly negative) powers p and
   eps in {0, 1}.  cosh^2 is always rewritten as 1 + sinh^2, so the
   representation is canonical and equality of elements is decidable.
   Closed under d/drho and under the ladder operator -(1/sinh) d/drho.
+
+* the dimension ladder: L = -(1/sinh rho) d/drho takes kernels and
+  spherical functions from dimension n to n + 2.  ``ladder`` applies it
+  m times to a seed e^(-kappa rho) or e^(-kappa rho^2) as exact terms
+  kappa^q rho^u E(rho), E a ``LaurentElement``; ``evaluate_rows`` is the
+  one float evaluator of such terms, and ``ladder_taylor`` the exact
+  Taylor series where they cancel.
 
 * ``Poly``: multivariate polynomials over the rationals, just enough
   structure (derivatives, Laplacian, Euler operator, products) to apply
@@ -23,10 +30,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-
-Rational = Fraction
 
 
 def _as_fraction(x) -> Fraction:
@@ -65,10 +71,6 @@ class LaurentElement:
             self.terms[key] = new
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def one(cls) -> "LaurentElement":
-        return cls({(0, 0): 1})
 
     @classmethod
     def inv_sinh(cls) -> "LaurentElement":
@@ -139,16 +141,8 @@ class LaurentElement:
         return out
 
     def evaluate(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        s = np.sinh(rho)
-        c = np.cosh(rho)
-        out = np.zeros_like(rho)
-        for (p, e), coef in self.terms.items():
-            term = float(coef) * s ** float(p)
-            if e:
-                term = term * c
-            out = out + term
-        return out
+        """Float values at rho > 0 (see ``evaluate_rows``)."""
+        return evaluate_rows([[(1.0, self)]], rho)[0]
 
     def coefficient(self, p: int, eps: int) -> Fraction:
         return self.terms.get((int(p), int(eps)), Fraction(0))
@@ -165,6 +159,130 @@ class LaurentElement:
                 t += "*cosh"
             bits.append(t)
         return "LaurentElement(" + " + ".join(bits) + ")"
+
+
+# -- the dimension ladder ------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def ladder(a: int, m: int, start: int = 0) -> tuple:
+    """L^m [sinh(rho)^start e^(-kappa rho^a)] in exact terms, L = -(1/sinh) d/drho.
+
+    The sum of kappa^q rho^u E(rho) e^(-kappa rho^a) over the returned
+    pairs ((q, u), E), sorted by key.  a = 1 seeds the resolvents, the
+    Green kernel (kappa = 0) and, as the real part at kappa = i lam/2,
+    the spherical functions; a = 2 seeds the heat kernel.  One step is
+    the product rule:
+
+        L(rho^u E e^(-kappa rho^a)) = (rho^u L E - u rho^(u-1) E/sinh
+                          + a kappa rho^(u+a-1) E/sinh) e^(-kappa rho^a).
+    """
+    inv = LaurentElement.inv_sinh()
+    terms = {(0, 0): LaurentElement({(start, 0): 1})}
+    for _ in range(m):
+        nxt: dict = {}
+        for (q, u), elem in terms.items():
+            over = elem * inv
+            for key, part in (
+                ((q, u), elem.apply_inv_sinh_derivative()),
+                ((q, u - 1), over * -u),
+                ((q + 1, u + a - 1), over * a),
+            ):
+                nxt[key] = nxt.get(key, LaurentElement()) + part
+        terms = {key: elem for key, elem in nxt.items() if elem.terms}
+    return tuple(sorted(terms.items()))
+
+
+def _horner(coefs: dict, k0: int, z):
+    # sum_k coefs[k] z^(k - k0) for k >= k0: a new array, or a float when
+    # there is no power of z
+    top = max(coefs, default=k0)
+    if top == k0:
+        return coefs.get(k0, 0.0)
+    acc = coefs[top] * z
+    for k in range(top - 1, k0, -1):
+        if coefs.get(k):
+            acc += coefs[k]
+        acc *= z
+    if coefs.get(k0):
+        acc += coefs[k0]
+    return acc
+
+
+def evaluate_rows(rows, rho) -> list:
+    """Float values at rho > 0 of weighted sums of ``LaurentElement``s.
+
+    Each row, a sequence of (weight, element) pairs, gives the array
+    sum weight * element(rho).  A term c sinh^p cosh^eps is taken as
+    c coth^eps x^k, x = 1/sinh = 2e^(-rho)/(1 - e^(-2 rho)), k = -(p + eps),
+    so nothing overflows at large rho (x underflows to 0, coth tends to
+    1).  x and coth are computed once per call; each row is Horner in x.
+    """
+    rho = np.asarray(rho, dtype=float)
+    coth = np.divide(-2.0, np.expm1(-2.0 * rho))  # 2/(1 - e^(-2 rho)) = coth + 1
+    x = np.exp(-rho) * coth
+    coth -= 1.0
+    out = []
+    for row in rows:
+        polys: tuple = ({}, {})  # {k: coefficient of x^k}, without and with coth
+        for weight, elem in row:
+            for (p, e), c in elem.terms.items():
+                polys[e][-p - e] = polys[e].get(-p - e, 0.0) + weight * float(c)
+        k0 = min((k for poly in polys for k in poly), default=0)
+        val = _horner(polys[0], k0, x)
+        if polys[1]:
+            odd = _horner(polys[1], k0, x) * coth
+            odd += val
+            val = odd
+        if isinstance(val, float):
+            val = np.full(rho.shape, val)
+        if k0 < 0:
+            val /= x**-k0  # positive powers of sinh overflow with the true value
+        for _ in range(k0):
+            val *= x
+        out.append(val[()])  # a scalar for scalar rho
+    return out
+
+
+@lru_cache(maxsize=None)
+def ladder_taylor(m: int, order: int) -> tuple:
+    """Taylor series at rho = 0 of the Gaussian ladder, Gaussian factored out.
+
+    e^(kappa rho^2) L^m e^(-kappa rho^2) = sum_q kappa^q F_q(rho), with
+    F_q = sum_u rho^u E_(q,u) over ``ladder(2, m)``.  Returns, per q,
+    the first ``order`` coefficients a_j of F_q = sum_j a_j rho^(2j) as
+    Fractions.  With sinh = rho S(rho^2), cosh = C(rho^2), a term
+    c rho^u sinh^p cosh^eps (p <= 0 here) is c rho^(u+p) S^p C^eps; the
+    negative powers of rho must cancel, and that is checked.
+    """
+    terms = ladder(2, m)
+    low = min((u + p) // 2 for (_, u), e in terms for p, _ in e.terms)
+    size = order - min(low, 0)
+
+    def mul(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(size)]
+
+    S = [Fraction(1, math.factorial(2 * j + 1)) for j in range(size)]
+    C = [Fraction(1, math.factorial(2 * j)) for j in range(size)]
+    powers = [[Fraction(int(j == 0)) for j in range(size)]]  # S^0, S^-1, ...
+    inv = [Fraction(1)]
+    for k in range(1, size):
+        inv.append(-sum(S[i] * inv[k - i] for i in range(1, k + 1)))
+    out: dict = {}
+    for (q, u), elem in terms:
+        acc = out.setdefault(q, {})
+        for (p, e), c in elem.terms.items():
+            while len(powers) <= -p:
+                powers.append(mul(powers[-1], inv))
+            series = mul(powers[-p], C) if e else powers[-p]
+            for j, a in enumerate(series, start=(u + p) // 2):
+                acc[j] = acc.get(j, Fraction(0)) + c * a
+    if any(a for acc in out.values() for j, a in acc.items() if j < 0):
+        raise ArithmeticError("the ladder terms left a pole at rho = 0")
+    return tuple(
+        tuple(out.get(q, {}).get(j, Fraction(0)) for j in range(order))
+        for q in range(max(out) + 1)
+    )
 
 
 def sinh_expansion_coefficients(k: int) -> tuple[int, ...]:
@@ -197,25 +315,17 @@ def sinh_expansion_coefficients(k: int) -> tuple[int, ...]:
 def verify_sinh_derivative_recursion(k_max: int = 8) -> bool:
     """Check the closed-form coefficients of the iterated ladder operator.
 
-    Applies -(1/sinh) d/drho repeatedly to 1/sinh with exact rational
-    arithmetic and compares every even iterate against the integer
-    recursion of ``sinh_expansion_coefficients``.  Positivity of the
-    coefficients is what makes the even iterates cancellation-free, so
-    this check underwrites the kernel evaluations elsewhere.
+    Takes the even iterates L^(2k)(1/sinh) from ``ladder`` (its kappa^0
+    terms) and compares them with the integer recursion of
+    ``sinh_expansion_coefficients``.  Positivity of the coefficients is
+    what makes the even iterates cancellation-free, so this check
+    underwrites the kernel evaluations elsewhere.
     """
-    elem = LaurentElement.inv_sinh()
-    for step in range(1, 2 * k_max + 1):
-        elem = elem.apply_inv_sinh_derivative()
-        if step % 2 == 0:
-            k = step // 2
-            coeffs = sinh_expansion_coefficients(k)
-            want = LaurentElement(
-                {(-(2 * k + 1 + 2 * i), 0): a for i, a in enumerate(coeffs)}
-            )
-            if elem != want:
-                return False
-            if any(a <= 0 for a in coeffs):
-                return False
+    for k in range(1, k_max + 1):
+        coeffs = sinh_expansion_coefficients(k)
+        want = LaurentElement({(-(2 * k + 1 + 2 * i), 0): a for i, a in enumerate(coeffs)})
+        if dict(ladder(1, 2 * k, -1))[0, 0] != want or any(a <= 0 for a in coeffs):
+            return False
     return True
 
 

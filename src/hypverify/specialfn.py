@@ -26,7 +26,7 @@ In odd n from 3 to 9, ``phi_matrix`` uses the exact closed form instead: from
 phi_3 = 2 sin(lambda rho / 2)/(lambda sinh rho), the ladder
 phi_(n+2) = 4n/((n-1)^2 + lambda^2) * (-(1/sinh rho) d/drho) phi_n gives
 a finite sum of trigonometric terms with exact rational coefficients
-(built on ``exact.LaurentElement``), and the Gauss series of
+(built by ``exact.ladder``), and the Gauss series of
 2F1((n-1)/4 + i lambda/4, (n-1)/4 - i lambda/4; n/2; -sinh^2 rho)
 covers the corner near rho = 0 where those terms cancel.  That
 cancellation grows with n, so odd n > 9 keep the quadrature.  The
@@ -43,13 +43,11 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from hypverify.exact import LaurentElement
+from hypverify.exact import evaluate_rows, ladder
 
 # Lanczos approximation, g = 7, 9 terms: relative error < 1e-13 on the
 # right half plane after reflection.
@@ -188,8 +186,8 @@ def _node_count(lam_max: float, rho_max: float) -> int:
 
 
 def _log_sinh(z: np.ndarray) -> np.ndarray:
-    # log(sinh z) for z > 0 without overflow: z + log1p(-e^(-2z)) - log 2
-    return z + np.log1p(-np.exp(-2.0 * z)) - math.log(2.0)
+    # log(sinh z) for z > 0, with neither overflow nor underflow
+    return z + np.log(-np.expm1(-2.0 * z)) - math.log(2.0)
 
 
 def _phi_envelope(rho: np.ndarray, n: int, num: int):
@@ -252,67 +250,32 @@ def spherical_function(lam, rho, n: int, num_nodes: int | None = None):
     return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
-@lru_cache(maxsize=None)
-def _odd_ladder(m: int):
-    """Float terms of the closed form of phi in dimension n = 2m + 1, m >= 1.
+def _odd_radial_rows(rho: np.ndarray, n: int):
+    """Radial rows of the closed form of phi in dimension n = 2m + 1, m >= 1.
 
     phi = prod_{j<m} 4(2j+1)/((2j)^2 + lam^2) * L^m cos(t), t = lam rho / 2,
-    L = -(1/sinh) d/drho, climbing from phi_1 = cos(t) by
-    phi_{n+2} = 4n/((n-1)^2 + lam^2) L phi_n.  L^m cos(t) is
-    sum_q lam^q (C_q cos t + S_q sin t) with exact ``LaurentElement``s
-    C_q (q even) and S_q (q odd).  Writing sin t = lam (rho/2) sinc t
-    turns every power of lam even and at least 2, so the j = 0 factor
-    4/lam^2 cancels exactly and lam = 0 needs no special case:
+    climbing from phi_1 = cos(t) by phi_{n+2} = 4n/((n-1)^2 + lam^2) L phi_n.
+    L^m cos(t) is the real part of L^m e^(-kappa rho) at kappa = i lam/2,
+    so with ``exact.ladder(1, m)`` = sum_q kappa^q E_q it is
+    sum_q (lam/2)^q (P_q cos t + Q_q sin t), P_q = (-1)^(q/2) E_q for even
+    q and Q_q = (-1)^((q-1)/2) E_q for odd q.  With sin t = lam (rho/2)
+    sinc t every power of lam is even and at least 2, so the j = 0 factor
+    4/lam^2 cancels and lam = 0 needs no special case:
 
         phi = prod_{0<j<m} 4(2j+1)/((2j)^2 + lam^2)
               * sum_i lam^(2i) (A_i cos t + rho B_i sinc t),
-        A_i = 4 C_(2i+2),  B_i = 2 S_(2i+1).
+        A_i = 4^(-i) P_(2i+2) = -(-1/4)^i E_(2i+2),  B_i = (-1/4)^i E_(2i+1).
 
-    Returns (A, B), each a tuple over i of terms (k, eps, c) standing for
-    c sinh^(-k) coth^eps (cosh sinh^p = coth sinh^(p+1), so no term
-    overflows at large rho).
+    Returns the rows A_i(rho) and rho B_i(rho) at the rho > 0.
     """
-    inv = LaurentElement.inv_sinh()
-    half = Fraction(1, 2)
-    terms = {0: (LaurentElement.one(), LaurentElement())}
-    for _ in range(m):
-        nxt = {}
-        for q, (c, s) in terms.items():
-            # L(E cos t) = (LE) cos t + (lam/2)(E/sinh) sin t
-            # L(E sin t) = (LE) sin t - (lam/2)(E/sinh) cos t
-            for key, dc, ds in (
-                (q, c.apply_inv_sinh_derivative(), s.apply_inv_sinh_derivative()),
-                (q + 1, -(s * inv) * half, (c * inv) * half),
-            ):
-                c0, s0 = nxt.get(key, (LaurentElement(), LaurentElement()))
-                nxt[key] = (c0 + dc, s0 + ds)
-        terms = nxt
-
-    def floats(elem: LaurentElement, scale: int):
-        return tuple(
-            (-p - e, e, float(scale * coef)) for (p, e), coef in sorted(elem.terms.items())
-        )
-
-    zero = (LaurentElement(), LaurentElement())
-    A = tuple(floats(terms.get(2 * i + 2, zero)[0], 4) for i in range((m + 1) // 2))
-    B = tuple(floats(terms.get(2 * i + 1, zero)[1], 2) for i in range((m + 1) // 2))
-    return A, B
-
-
-def _odd_radial_rows(rho: np.ndarray, n: int):
-    # A_i(rho) and rho B_i(rho) of _odd_ladder at rho > 0, in sinh^-1 and coth
-    A, B = _odd_ladder((n - 1) // 2)
+    m = (n - 1) // 2
+    terms = dict(ladder(1, m))
+    half = (m + 1) // 2
+    keys = [(-((-0.25) ** i), (2 * i + 2, 0)) for i in range(half)]
+    keys += [((-0.25) ** i, (2 * i + 1, 0)) for i in range(half)]
     r = rho[rho > 0.0]
-    inv_sinh = 2.0 * np.exp(-r) / -np.expm1(-2.0 * r)
-    coth = 1.0 / np.tanh(r)
-
-    def row(terms):
-        out = np.zeros_like(r)
-        for k, e, c in terms:
-            out += c * inv_sinh**k * coth**e
-        return out
-
-    return [row(a) for a in A], [r * row(b) for b in B]
+    rows = evaluate_rows([[(w, terms[key])] if key in terms else [] for w, key in keys], r)
+    return rows[:half], [r * row for row in rows[half:]]
 
 
 # phi_matrix entries with rho^2 + (lam rho / 2)^2 below this take the Gauss
@@ -359,8 +322,8 @@ def _gauss_series(lam: np.ndarray, rho: np.ndarray, n: int) -> np.ndarray:
 def _phi_rows_odd(lam: np.ndarray, rho: np.ndarray, n: int, radial_rows) -> np.ndarray:
     """Rows phi[lam_i, rho_j] for odd 3 <= n <= 9 from the closed form.
 
-    ``radial_rows`` holds A_i(rho) and rho B_i(rho) of ``_odd_ladder``
-    at every rho > 0 (rho <= 0 gives 1, as in the Jacobi route).
+    ``radial_rows`` holds A_i(rho) and rho B_i(rho) of ``_odd_radial_rows``
+    at every rho > 0 (rho = 0 gives 1, as in the Jacobi route).
     """
     A, B = radial_rows
     m = (n - 1) // 2
@@ -401,7 +364,7 @@ _PHI_CACHE_MAX = 8
 def phi_matrix(lam, rho, n: int, chunk: int = 64) -> np.ndarray:
     """Matrix phi[lam_i, rho_j] for grid-sized argument arrays.
 
-    Odd 3 <= n <= 9 uses the exact closed form (``_odd_ladder``): two
+    Odd 3 <= n <= 9 uses the exact closed form (``_odd_radial_rows``): two
     trigonometric evaluations per entry, with the Gauss series
     2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho) where
     rho^2 + (lam rho / 2)^2 < 1/2.  Other n use the Jacobi quadrature of
@@ -409,7 +372,8 @@ def phi_matrix(lam, rho, n: int, chunk: int = 64) -> np.ndarray:
     largest phase.  Work is chunked over lambda, and results are cached
     on the byte content of the two arrays (transform pipelines hit the
     same grids over and over).  The returned array is read-only; copy
-    before mutating.  Non-finite lam or rho raise ValueError.
+    before mutating.  Non-finite lam or rho, and negative rho, raise
+    ValueError.
     """
     lam = np.ascontiguousarray(np.asarray(lam, dtype=float))
     rho = np.ascontiguousarray(np.asarray(rho, dtype=float))
@@ -417,6 +381,8 @@ def phi_matrix(lam, rho, n: int, chunk: int = 64) -> np.ndarray:
         raise ValueError("lam and rho must be 1-d arrays")
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(rho))):
         raise ValueError("lam and rho must be finite")
+    if np.any(rho < 0.0):
+        raise ValueError("rho must be nonnegative")
     key = (int(n), lam.tobytes(), rho.tobytes())
     hit = _PHI_CACHE.get(key)
     if hit is not None:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,10 @@ from hypverify.exact import (
     Poly,
     ball_conjugation_numeric_check,
     ball_laplace_beltrami,
+    evaluate_rows,
     gjms_operator,
     halfspace_conjugation_monomial_check,
+    ladder,
     sinh_expansion_coefficients,
     verify_sinh_derivative_recursion,
     weighted_laplacian_conjugation_check,
@@ -80,6 +83,47 @@ class TestLaurentElement:
     def test_repr_runs(self):
         assert "sinh" in repr(LaurentElement({(-3, 1): 2}))
         assert repr(LaurentElement()) == "LaurentElement(0)"
+
+
+class TestLadder:
+    # The engine's terms against mpmath differentiation of the seed itself:
+    # in u = cosh rho the ladder L = -(1/sinh) d/drho is -d/du, so
+    # L^m f(rho) = (-1)^m (d/du)^m f(arccosh u).  The spherical case runs
+    # the e^(-kappa rho) terms at kappa = i k and compares the real part
+    # with L^m cos(k rho).
+    SEEDS = {
+        "resolvent": (1, -1, 0.8, lambda mp, r: mp.exp(-0.8 * r) / mp.sinh(r)),
+        "green": (1, -1, 0.0, lambda mp, r: 1 / mp.sinh(r)),
+        "heat": (2, 0, 0.9, lambda mp, r: mp.exp(-0.9 * r * r)),
+        "spherical": (1, 0, 0.6j, lambda mp, r: mp.cos(0.6 * r)),
+    }
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("seed", sorted(SEEDS))
+    def test_against_numerical_differentiation(self, seed, m):
+        mp = pytest.importorskip("mpmath")
+        a, start, kappa, f = self.SEEDS[seed]
+        rho = np.array([0.3, 1.1, 2.5])
+        terms = ladder(a, m, start)
+        rows = evaluate_rows([[(1.0, elem)] for _, elem in terms], rho)
+        got = sum(kappa**q * rho**u * row for ((q, u), _), row in zip(terms, rows))
+        got = (got * np.exp(-kappa * rho**a)).real
+        with mp.workdps(40):
+            want = [
+                float(mp.re((-1) ** m * mp.diff(lambda u: f(mp, mp.acosh(u)), mp.cosh(r), m)))
+                for r in rho
+            ]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_evaluate_is_overflow_free(self):
+        # coth sinh^(p+1) in place of cosh sinh^p, and 1/sinh from e^(-rho)
+        e = LaurentElement({(-3, 1): 2, (-5, 0): 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                vals = e.evaluate(np.array([1e-6, 1.0, 800.0]))
+        assert vals[2] == 0.0
+        assert vals[1] == pytest.approx(2 * math.cosh(1) / math.sinh(1) ** 3 + math.sinh(1) ** -5)
 
 
 class TestSinhRecursion:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,16 +31,58 @@ LAM = np.array([0.3, 1.0, 3.0, 8.0])
 
 class TestHeatClosedForms:
     def test_h3_exact(self):
-        # dimension 3 collapses to a pure Gaussian in rho
-        for t in (0.25, 0.5, 1.0):
-            got = heat_kernel(t, RHO, 3)
+        # dimension 3 collapses to a pure Gaussian in rho; the range stops
+        # where the Gaussian is still far above the underflow threshold
+        for t in (0.01, 0.05, 0.25, 0.5, 1.0):
+            rho = np.geomspace(1e-6, min(12.0, 40.0 * math.sqrt(t)), 160)
+            got = heat_kernel(t, rho, 3)
             want = (
                 (4.0 * math.pi * t) ** -1.5
                 * math.exp(-t)
-                * (RHO / np.sinh(RHO))
-                * np.exp(-(RHO**2) / (4.0 * t))
+                * (rho / np.sinh(rho))
+                * np.exp(-(rho**2) / (4.0 * t))
             )
             assert np.max(np.abs(got / want - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_odd_small_time_against_mpmath(self, n):
+        # L^m e^(-rho^2/4t) by mpmath differentiation in u = cosh rho, where
+        # L = -d/du; small t and small rho put the ladder terms deep into
+        # cancellation, which the exact Taylor series must absorb
+        mp = pytest.importorskip("mpmath")
+        t, m = 0.01, (n - 1) // 2
+        rho = np.geomspace(1e-6, 3.0, 25)
+
+        def ladder(r):
+            with mp.workdps(60):
+                f = lambda u: mp.re(mp.exp(-mp.acosh(u) ** 2 / (4 * mp.mpf(t))))
+                return float((-1) ** m * mp.diff(f, mp.cosh(mp.mpf(r)), m))
+
+        pref = (2.0 * math.pi) ** -m * math.exp(-((n - 1) ** 2) * t / 4.0)
+        want = pref / math.sqrt(4.0 * math.pi * t) * np.array([ladder(r) for r in rho])
+        assert np.max(np.abs(heat_kernel(t, rho, n) / want - 1.0)) < 1e-12
+
+    def test_h4_small_time_against_direct_quadrature(self):
+        # Weyl half-integral of L^2 e^(-r^2/4t), integrated independently
+        # after r = rho + u^2; r coth r - 1 from its series below r = 0.3
+        t = 0.01
+        c = math.exp(-2.25 * t) / (2.0 * math.sqrt(2.0) * math.pi**2 * math.sqrt(4.0 * math.pi * t))
+
+        def l2(r):
+            xc = (r * r / 3 - r**4 / 45 + 2 * r**6 / 945 - r**8 / 4725 + 2 * r**10 / 93555
+                  if r < 0.3 else r / math.tanh(r) - 1.0)
+            g = math.exp(-r * r / (4.0 * t))
+            return g * (xc + r * r / (2.0 * t)) / (2.0 * t * math.sinh(r) ** 2)
+
+        for rho_val in (1e-4, 0.01, 0.3, 2.0):
+            def integrand(u):
+                r = rho_val + u * u
+                gap = 2.0 * math.sinh(rho_val + 0.5 * u * u) * math.sinh(0.5 * u * u)
+                return 2.0 * l2(r) * math.sinh(r) * u / math.sqrt(gap) if u else 0.0
+
+            want, _ = quad(integrand, 0.0, 1.5, limit=400, epsabs=0.0, epsrel=1e-13)
+            got = heat_kernel(t, np.array([rho_val]), 4)[0]
+            assert got == pytest.approx(c * want, rel=1e-11)
 
     @pytest.mark.parametrize("rho_val", [0.05, 1.0, 4.0])
     def test_h2_against_direct_quadrature(self, rho_val):
@@ -63,10 +106,11 @@ class TestHeatClosedForms:
         assert got == pytest.approx(c * want, rel=1e-9)
 
     def test_small_rho_stable(self):
-        # the ladder terms cancel catastrophically near zero; the
-        # patched evaluator must stay smooth through the switch radius
+        # the ladder terms cancel catastrophically near zero, where the
+        # exact Taylor series takes over; the values must stay smooth
+        # through each seam (0.5 at n = 5, 1.0 at n = 7)
         for n in (3, 4, 5, 7):
-            r = np.array([1e-6, 1e-4, 0.01, 0.049, 0.051, 0.06])
+            r = np.array([1e-6, 1e-4, 0.01, 0.049, 0.051, 0.06, 0.49, 0.51, 0.99, 1.01])
             vals = heat_kernel(0.5, r, n)
             assert np.all(np.isfinite(vals))
             assert np.all(vals > 0)
@@ -225,6 +269,34 @@ class TestResolvent:
     def test_rejects_shift_below_spectrum(self):
         with pytest.raises(ValueError):
             resolvent_kernel(-2.5, np.array([1.0]), 3)
+
+    @pytest.mark.parametrize("n,lam0", [(3, -0.5), (5, -3.0)])
+    def test_large_rho_silent(self, n, lam0):
+        # sinh(rho/2)^2 and sinh(rho)^(2-n) leave the float range long
+        # before rho = 800; the kernel there is below it and reads 0
+        rho = np.array([1.0, 30.0, 800.0])
+        with np.errstate(all="raise"):
+            got = resolvent_kernel(lam0, rho, n)
+        assert got[2] == 0.0
+        assert np.max(np.abs(got[:2] / _resolvent_closed_odd(lam0, rho[:2], n) - 1.0)) < 1e-13
+
+
+class TestLargeRho:
+    def test_ladder_kernels_finite_without_warnings(self):
+        # sinh(800) and cosh(800) overflow a double; the ladder evaluator
+        # never forms them
+        rho = np.array([1.0, 48.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                vals = [
+                    heat_kernel(1.0, rho, 5),
+                    limiting_green_kernel(rho, 5),
+                    _resolvent_closed_odd(-3.0, rho, 5),
+                ]
+        for v in vals:
+            assert np.all(np.isfinite(v))
+            assert np.all(v >= 0.0) and v[0] > 0.0
 
 
 class TestFracResolventH3:

@@ -257,6 +257,8 @@ class TestPhiMatrix:
                 phi_matrix(np.ones(2), np.array([1.0, np.nan]), n)
             with pytest.raises(ValueError, match="finite"):
                 phi_matrix(np.array([np.inf, 1.0]), np.ones(3), n)
+            with pytest.raises(ValueError, match="nonnegative"):
+                phi_matrix(np.array([1.0, 3.0]), np.array([-1.0, 1.0]), n)
 
     # odd n <= 9: phi_matrix takes the closed form, spherical_function stays
     # the Jacobi quadrature, so each check below compares two routes.  Odd
