@@ -49,10 +49,13 @@ import numpy as np
 from hypverify.radial import (
     RadialFunction,
     RadialGrid,
+    _panel_nodes,
     convolve_with_kernel,
     integrate_radial,
     lp_norm,
     make_radial_grid,
+    radial_laplacian,
+    sphere_area,
 )
 from hypverify.spectral import (
     MultiplierSpec,
@@ -212,7 +215,7 @@ class InequalitySpec:
         if self.variant in ("pk_deficit", "hardy_mazya"):
             return MultiplierSpec.gjms(self.k).minus(self.gap_constant)
         if self.variant == "h5_biharmonic":
-            return MultiplierSpec.custom(
+            return MultiplierSpec(
                 "lam^2 (lam^2+4)/16",
                 lambda lam, n: lam**2 * (lam**2 + 4.0) / 16.0,
             )
@@ -421,18 +424,16 @@ def halfspace_deficit(
     return deficit(u_ball, spec, sgrid=sgrid, tail_tol=tail_tol)
 
 
-def hls_bilinear(
-    f: RadialFunction,
-    g: RadialFunction,
-    lambda_exp: float,
-    check_tol: float = 1e-4,
-) -> float:
+_HLS_CHECK_TOL = 1e-4
+
+
+def hls_bilinear(f: RadialFunction, g: RadialFunction, lambda_exp: float) -> float:
     """Bilinear form with kernel (2 sinh(d/2))^(-lambda_exp).
 
     Reduced to one radial convolution (graded in the angle, since the
     kernel is singular on the diagonal) and one radial integral.  The
     inner integral is recomputed on a coarser angular grading and the
-    two values must agree to check_tol, else the quadrature has not
+    two values must agree to 1e-4 relative, else the quadrature has not
     converged and a RuntimeError is raised.
     """
     if f.grid is not g.grid or f.n != g.n:
@@ -448,7 +449,7 @@ def hls_bilinear(
     value = integrate_radial(f.values * inner, f.grid, n)
     coarse = convolve_with_kernel(g.values, kernel, f.grid, n, levels=11, per_panel=8)
     check = integrate_radial(f.values * coarse, f.grid, n)
-    if value != 0.0 and abs(check / value - 1.0) > check_tol:
+    if value != 0.0 and abs(check / value - 1.0) > _HLS_CHECK_TOL:
         raise RuntimeError(
             "singular inner integral failed its self-convergence check"
         )
@@ -549,19 +550,11 @@ class ConvolutionBoundReport:
     holds: bool
 
 
-def _panel_gauss(bounds, order=12):
-    from scipy.special import roots_legendre
-
-    x, w = roots_legendre(order)
-    bounds = np.asarray(bounds, dtype=float)
-    mid = 0.5 * (bounds[:-1] + bounds[1:])
-    half = 0.5 * np.diff(bounds)
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (
-        half[:, None] * w[None, :]
-    ).ravel()
+_POWER_RHO_MAX = 45.0
+_BOUND_PROBES = 48
 
 
-def _power_kernel_convolution(alpha, beta, n, rho_y, rho_max=45.0):
+def _power_kernel_convolution(alpha, beta, n, rho_y):
     """[ (sinh d/2)^(a-n)(cosh d/2)^(-a-b) ] * (sinh rho/2)^(b-n) at one point.
 
     Both factors are singular and the composition develops a weak
@@ -573,9 +566,7 @@ def _power_kernel_convolution(alpha, beta, n, rho_y, rho_max=45.0):
 
     which is exact and cancellation-free.
     """
-    from hypverify.radial import sphere_area
-
-    t, wt = _panel_gauss(np.geomspace(1e-12, math.pi, 61))
+    t, wt = _panel_nodes(np.geomspace(1e-12, math.pi, 61), 12)
     ang = np.sin(t) ** (n - 2) * wt
     s2 = np.sin(0.5 * t) ** 2
     ry = float(rho_y)
@@ -589,10 +580,10 @@ def _power_kernel_convolution(alpha, beta, n, rho_y, rho_max=45.0):
     right = np.concatenate(
         [
             ry * (1.0 + np.geomspace(1e-8, 0.5, 22)),
-            np.geomspace(1.5 * ry, rho_max, 30)[1:],
+            np.geomspace(1.5 * ry, _POWER_RHO_MAX, 30)[1:],
         ]
     )
-    r, wr = _panel_gauss(np.concatenate([left, right]))
+    r, wr = _panel_nodes(np.concatenate([left, right]), 12)
     base = np.sinh(0.5 * (r - ry)) ** 2
     cross = np.sinh(r) * math.sinh(ry)
     x = base[:, None] + cross[:, None] * s2[None, :]
@@ -607,7 +598,6 @@ def convolution_bound_check(
     beta: float,
     n: int,
     rho_window=(0.05, 10.0),
-    num_probe: int = 48,
 ) -> ConvolutionBoundReport:
     """Pointwise kernel-composition bound on a rho window.
 
@@ -618,18 +608,18 @@ def convolution_bound_check(
         (sinh rho/2)^(alpha+beta-n) (cosh rho/2)^(-alpha),
 
     the hyperbolic sharpening of the Euclidean composition identity.
-    The ratio approaches 1 from below as rho -> 0, so the smallest
-    probe points carry margins as thin as 1e-4; the dedicated graded
-    quadrature holds per-point errors near 1e-9.  The report carries
-    the worst ratio and where it occurs.
+    The ratio approaches 1 from below as rho -> 0, so the smallest of
+    the 48 geometric probe points carry margins as thin as 1e-4; the
+    dedicated graded quadrature holds per-point errors near 1e-9.  The
+    report carries the worst ratio and where it occurs.
     """
     if not (0.0 < alpha < n and 0.0 < beta < n and alpha + beta < n):
         raise ValueError("need alpha, beta, alpha+beta in (0, n)")
-    probes = np.geomspace(float(rho_window[0]), float(rho_window[1]), num_probe)
+    probes = np.geomspace(float(rho_window[0]), float(rho_window[1]), _BOUND_PROBES)
     const = 2.0**n * riesz_gamma(alpha, n) * riesz_gamma(beta, n) / riesz_gamma(
         alpha + beta, n
     )
-    ratio = np.empty(num_probe)
+    ratio = np.empty(_BOUND_PROBES)
     for i, ry in enumerate(probes):
         conv = _power_kernel_convolution(alpha, beta, n, ry)
         bound = (
@@ -686,9 +676,11 @@ class HardyIdentityReport:
     holds: bool
 
 
-def biharmonic_hardy_identity_check(
-    spectral_tol: float = 1e-6, quadrature_tol: float = 1e-3
-) -> HardyIdentityReport:
+_HARDY_SPECTRAL_TOL = 1e-6
+_HARDY_QUADRATURE_TOL = 1e-3
+
+
+def biharmonic_hardy_identity_check() -> HardyIdentityReport:
     """Two routes into the second-order Hardy identity on dimension 5.
 
     (i) spectral: for radial f, the integral of (Delta f + 3 f)^2 over
@@ -699,30 +691,21 @@ def biharmonic_hardy_identity_check(
     (ii) half-space: for u = x1^(1/2) a(x1) b(|x'|), the flat integral
     of (Delta u + u/(4 x1^2))^2 equals the hyperbolic integral of
     (Delta_H f + 3 f)^2 with f = x1^(1/2) u, both done by tensor
-    quadrature.
+    quadrature.  The identity holds when (i) agrees to 1e-6 and (ii) to
+    1e-3 relative.
     """
-    from hypverify.radial import radial_laplacian
-    from scipy.special import roots_legendre
-
     grid = make_radial_grid(rho_max=12.0, num_nodes=896)
     f = np.exp(-(grid.nodes**2))
     fd = radial_laplacian(f, grid, 5) + 3.0 * f
     lhs = integrate_radial(fd**2, grid, 5)
-    sym = MultiplierSpec.custom(
+    sym = MultiplierSpec(
         "((lam^2+4)/4)^2", lambda lam, n: ((lam**2 + 4.0) / 4.0) ** 2
     )
     rhs = quadratic_form(f, grid, 5, sym, make_spectral_grid(40.0, 1024))
     rel_i = abs(lhs / rhs - 1.0)
 
-    x, w = roots_legendre(48)
-
-    def panel(a, b):
-        return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
-
-    x1, w1 = np.concatenate([np.stack(panel(a, b), 1) for a, b in
-                             [(1e-9, 2.0), (2.0, 8.0), (8.0, 30.0)]]).T
-    s, ws = np.concatenate([np.stack(panel(a, b), 1) for a, b in
-                            [(1e-9, 2.0), (2.0, 6.0)]]).T
+    x1, w1 = _panel_nodes(np.array([1e-9, 2.0, 8.0, 30.0]), 48)
+    s, ws = _panel_nodes(np.array([1e-9, 2.0, 6.0]), 48)
     X1 = x1[:, None]
     S = s[None, :]
     a = X1**2 * np.exp(-X1)
@@ -740,7 +723,7 @@ def biharmonic_hardy_identity_check(
     iH = float(np.sum(hyp**2 * X1**-5.0 * meas))
     rel_ii = abs(ih / iH - 1.0)
     return HardyIdentityReport(
-        rel_i, rel_ii, rel_i < spectral_tol and rel_ii < quadrature_tol
+        rel_i, rel_ii, rel_i < _HARDY_SPECTRAL_TOL and rel_ii < _HARDY_QUADRATURE_TOL
     )
 
 

@@ -42,10 +42,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import kv, roots_jacobi, roots_legendre
+from scipy.special import kv, roots_jacobi
 
 from hypverify.exact import evaluate_rows, ladder, ladder_taylor
-from hypverify.radial import RadialGrid, convolve_with_kernel
+from hypverify.radial import RadialGrid, _panel_nodes, convolve_with_kernel
 from hypverify.spectral import (
     MultiplierSpec,
     make_spectral_grid,
@@ -113,7 +113,9 @@ def heat_kernel(t: float, rho, n: int):
         m = (n-1)/2.
 
     Even n: the same expression half a step up, pushed through the Weyl
-    half-integral.  Positive, mass 1, and matching the spectral route
+    half-integral; where its window would leave the float range (rho or
+    t in the hundreds) the kernel reads 0 if it is below the normal
+    range and raises ValueError otherwise.  Positive, mass 1, and matching the spectral route
     e^(-t((n-1)^2+lam^2)/4); requires rho > 0.  Near rho = 0, where the
     ladder terms cancel, the exact Taylor series of the ladder takes over,
     so small t and small rho keep full accuracy.
@@ -137,23 +139,54 @@ def heat_kernel(t: float, rho, n: int):
     )
     # cut where the Gaussian has dropped by e^(-42) relative to its
     # value at the largest rho requested: r_c^2 = rho^2 + 168 t
-    rho_top = float(np.max(r))
-    sigma_max = math.exp(0.5 * math.sqrt(rho_top**2 + 170.0 * t)) + 10.0
-    return pref * _weyl_half_integral(lambda x: _gaussian_ladder(m + 1, t, x), r, sigma_max)
+    log_sigma = 0.5 * np.sqrt(r**2 + 170.0 * t)
+    # the two-sided Gaussian estimate t^(-n/2) (1+rho) (1+rho+t)^((n-3)/2)
+    # e^(-gap t - (n-1) rho/2 - rho^2/4t), with room for its constant
+    log_bound = n * np.log(2.0 + r + t + 1.0 / t) - (
+        gap * t + 0.5 * (n - 1) * r + r**2 / (4.0 * t)
+    )
+    return pref * _weyl_rows(
+        lambda x: _gaussian_ladder(m + 1, t, x), r, log_sigma, 1.0, log_bound
+    )
 
 
-def _weyl_half_integral(fn, rho: np.ndarray, sigma_max: float):
+# A sigma window past e^350 would take sigma^2 out of the float range.
+_LOG_SIGMA_MAX = 350.0
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
+def _weyl_rows(fn, rho: np.ndarray, log_sigma, scale: float, log_bound):
+    """``_weyl_half_integral`` at every rho, on one window for all rows.
+
+    Row i asks for sigma_max = (e^log_sigma[i] + 10) * scale, and the
+    window is the largest of these.  A row whose window would leave the
+    float range returns 0 when log_bound[i], an upper bound on the log of
+    its value, is below the normal range, and sizes no window; any other
+    such row raises ValueError.
+    """
+    shape = rho.shape
+    rho, log_sigma, log_bound = (np.atleast_1d(a).ravel() for a in (rho, log_sigma, log_bound))
+    far = log_sigma + math.log(scale) > _LOG_SIGMA_MAX
+    if np.any(log_bound[far] > _LOG_TINY):
+        raise ValueError("rho or t too large: the half-integral's window leaves the float range")
+    out = np.zeros_like(rho)
+    near = ~far
+    if np.any(near):
+        sigma_max = (math.exp(float(np.max(log_sigma[near]))) + 10.0) * scale
+        out[near] = _weyl_half_integral(fn, rho[near], sigma_max)
+    return out.reshape(shape) if shape else float(out[0])
+
+
+def _weyl_half_integral(fn, rho: np.ndarray, sigma_max: float) -> np.ndarray:
     """2 int_0^sigma_max fn(r(sigma)) d sigma, r = arccosh(cosh rho + sigma^2).
 
     This is int_rho^inf fn(r) sinh(r) (cosh r - cosh rho)^(-1/2) dr with
-    the square-root endpoint removed.  Callers size sigma_max so the
-    truncated tail is negligible relative to the result at the largest
-    rho requested; the panel count grows with the window so the
-    per-panel ratio stays resolvable.
+    the square-root endpoint removed, at each entry of the 1-d rho.
+    Callers size sigma_max so the truncated tail is negligible relative
+    to the result at the largest rho requested; the panel count grows
+    with the window so the per-panel ratio stays resolvable.
     """
-    shape = rho.shape
-    rr = np.atleast_1d(rho).ravel()
-    delta = 2.0 * np.sinh(0.5 * rr) ** 2
+    delta = 2.0 * np.sinh(0.5 * rho) ** 2
     # the integrand varies on scale sigma ~ sqrt(delta) near sigma = 0
     # (r(sigma)^2 ~ 2 delta + 2 sigma^2 there), so the low panels grade
     # geometrically down to the smallest delta requested
@@ -167,15 +200,18 @@ def _weyl_half_integral(fn, rho: np.ndarray, sigma_max: float):
             np.geomspace(1.0, sigma_max, ngeo)[1:],
         ]
     )
-    x, w = roots_legendre(16)
-    mid = 0.5 * (bounds[:-1] + bounds[1:])
-    half = 0.5 * np.diff(bounds)
-    sig = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
+    sig, wts = _panel_nodes(bounds, 16)
     xx = delta[:, None] + sig[None, :] ** 2
-    r = np.log1p(xx + np.sqrt(xx * (xx + 2.0)))
-    out = 2.0 * (fn(r) @ wts)
-    return out.reshape(shape) if shape else float(out[0])
+    # r = arccosh(1 + xx).  Past xx = 1e150 the root is xx to rounding, so
+    # the sum is 2 xx, and the product under the root would overflow.
+    if float(np.max(delta)) + sig[-1] ** 2 <= 1e150:
+        r = np.log1p(xx + np.sqrt(xx * (xx + 2.0)))
+    else:
+        big = xx > 1e150
+        r = np.log1p(2.0 * xx)
+        small = xx[~big]
+        r[~big] = np.log1p(small + np.sqrt(small * (small + 2.0)))
+    return 2.0 * (fn(r) @ wts)
 
 
 # -- limiting Green kernel ---------------------------------------------
@@ -187,9 +223,10 @@ def limiting_green_kernel(rho, n: int):
 
     Odd n = 2m+3: the exact ladder form (2 pi)^(-m) L^m [1/(4 pi sinh)],
     whose coefficients are the positive integers from the sinh
-    recursion.  Even n: Weyl half-integral of the ladder of 1/(2 sinh).
-    Blows up like rho^(2-n) at the origin (log for n = 2) and decays
-    like e^(-(n-1) rho / 2)."""
+    recursion.  Even n: Weyl half-integral of the ladder of 1/(2 sinh),
+    reading 0 or raising ValueError past rho ~ 650 as ``heat_kernel``
+    does.  Blows up like rho^(2-n) at the origin (log for n = 2) and
+    decays like e^(-(n-1) rho / 2)."""
     _check_dimension(n)
     r = _positive_rho(rho)
     if n % 2 == 1:
@@ -199,16 +236,18 @@ def limiting_green_kernel(rho, n: int):
     # integrand ~ sigma^(-2(m+1)) so the truncated tail ~ sigma^(-(2m+1));
     # the kernel itself is ~ e^(-(2m+1) rho / 2), so relative accuracy
     # needs sigma_max >> e^(rho/2) by the tolerance's (2m+1)-th root
-    rho_top = float(np.max(r))
-    sigma_max = (math.exp(0.5 * rho_top) + 10.0) * 10.0 ** (13.0 / (2 * m + 1))
+    scale = 10.0 ** (13.0 / (2 * m + 1))
+    # that decay, with room for its constant
+    log_bound = n * np.log(2.0 + r) - 0.5 * (n - 1) * r
     pref = 1.0 / (math.sqrt(2.0) * math.pi * (2.0 * math.pi) ** m)
-    return pref * _weyl_half_integral(lambda x: _ladder_sum(1, m, -1, 0.0, x, 0.5), r, sigma_max)
+    return pref * _weyl_rows(
+        lambda x: _ladder_sum(1, m, -1, 0.0, x, 0.5), r, 0.5 * r, scale, log_bound
+    )
 
 
 # -- resolvent, arbitrary shift ----------------------------------------
 
 _RESOLVENT_LEVELS = 45
-_LOG_TINY = math.log(np.finfo(float).tiny)
 _RESOLVENT_ORDER = 16
 
 
@@ -221,28 +260,23 @@ def _resolvent_rule(theta: float):
     bounds = np.concatenate([[0.0], left, 2.0 - left[::-1][1:], [2.0]])
 
     xj, wj = roots_jacobi(q, 0.0, theta)
-    xl, wl = roots_legendre(q)
-
-    nodes = []
-    weights = []
     # first panel [0, b]: w = b (x+1)/2 absorbs w^theta into the Jacobi
     # weight; the regular (2-w)^theta factor stays explicit
     b = bounds[1]
     wfirst = b * 0.5 * (xj + 1.0)
-    nodes.append(wfirst)
-    weights.append(wj * (0.5 * b) ** (theta + 1.0) * (2.0 - wfirst) ** theta)
     # middle panels: plain Gauss-Legendre, weights evaluated explicitly
-    for lo, hi in zip(bounds[1:-2], bounds[2:-1]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        wmid = mid + half * xl
-        nodes.append(wmid)
-        weights.append(half * wl * wmid**theta * (2.0 - wmid) ** theta)
+    wmid, wtmid = _panel_nodes(bounds[1:-1], q)
     # last panel [2-b, 2]: 2 - w = b (x+1)/2 absorbs (2-w)^theta
     wlast = 2.0 - b * 0.5 * (xj + 1.0)
-    nodes.append(wlast)
-    weights.append(wj * (0.5 * b) ** (theta + 1.0) * wlast**theta)
-    return np.concatenate(nodes), np.concatenate(weights)
+    nodes = np.concatenate([wfirst, wmid, wlast])
+    weights = np.concatenate(
+        [
+            wj * (0.5 * b) ** (theta + 1.0) * (2.0 - wfirst) ** theta,
+            wtmid * wmid**theta * (2.0 - wmid) ** theta,
+            wj * (0.5 * b) ** (theta + 1.0) * wlast**theta,
+        ]
+    )
+    return nodes, weights
 
 
 def resolvent_kernel(lam0: float, rho, n: int):

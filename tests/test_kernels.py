@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import digamma
+from scipy.special import beta, digamma
 
 from hypverify.exact import LaurentElement, sinh_expansion_coefficients
 from hypverify.kernels import (
     _resolvent_closed_odd,
+    _resolvent_rule,
     frac_resolvent_h3,
     fractional_green_h3,
     heat_kernel,
@@ -270,6 +271,16 @@ class TestResolvent:
         with pytest.raises(ValueError):
             resolvent_kernel(-2.5, np.array([1.0]), 3)
 
+    @pytest.mark.parametrize(
+        "theta,tol",
+        [(-0.5, 5e-12), (-0.25, 2e-15), (0.0, 2e-15), (0.7, 2e-15), (1.5, 2e-15), (3.0, 2e-15)],
+    )
+    def test_rule_integrates_the_jacobi_weight(self, theta, tol):
+        # int_0^2 w^theta (2-w)^theta dw = 2^(2 theta + 1) B(theta + 1, theta + 1)
+        _, wt = _resolvent_rule(theta)
+        exact = 2.0 ** (2.0 * theta + 1.0) * beta(theta + 1.0, theta + 1.0)
+        assert abs(wt.sum() / exact - 1.0) < tol
+
     @pytest.mark.parametrize("n,lam0", [(3, -0.5), (5, -3.0)])
     def test_large_rho_silent(self, n, lam0):
         # sinh(rho/2)^2 and sinh(rho)^(2-n) leave the float range long
@@ -297,6 +308,27 @@ class TestLargeRho:
         for v in vals:
             assert np.all(np.isfinite(v))
             assert np.all(v >= 0.0) and v[0] > 0.0
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_even_kernels_silent_past_the_float_range(self, n):
+        # at rho = 800 the half-integral's sigma window would leave the
+        # float range; the kernels there are below it, read 0, and do not
+        # size the window of the other rows
+        rho = np.array([1.0, 400.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                heat = heat_kernel(1.0, rho, n)
+                green = limiting_green_kernel(rho, n)
+        assert heat[0] == pytest.approx(heat_kernel(1.0, rho[:1], n)[0], rel=1e-12)
+        assert green[0] == pytest.approx(limiting_green_kernel(rho[:1], n)[0], rel=1e-12)
+        assert heat[1] == heat[2] == green[2] == 0.0
+
+    def test_even_kernel_past_the_float_range_but_not_below_it_raises(self):
+        # in dimension 2 the Green kernel at rho = 700 is ~ e^(-350), still
+        # a normal float, but its sigma window is not
+        with pytest.raises(ValueError):
+            limiting_green_kernel(np.array([1.0, 700.0]), 2)
 
 
 class TestFracResolventH3:

@@ -8,6 +8,7 @@ from hypverify.radial import (
     RadialFunction,
     RadialGrid,
     _fornberg_weights,
+    _panel_nodes,
     as_callable,
     convolve_with_kernel,
     integrate_radial,
@@ -60,6 +61,19 @@ class TestGrid:
             RadialGrid(np.array([0.2, 0.1]), np.array([1.0, 1.0]), 1.0)
         with pytest.raises(ValueError):
             RadialGrid(np.array([0.1, 0.2]), np.array([1.0, -1.0]), 1.0)
+
+
+class TestPanelNodes:
+    @pytest.mark.parametrize("order", [8, 12, 16, 48])
+    def test_exact_to_degree_two_order_minus_one(self, order):
+        # the one composite Gauss-Legendre builder: exact on x^(2 order - 1)
+        # over panels of unequal width
+        bounds = np.array([0.0, 0.1, 0.35, 1.0, 2.7, 3.0])
+        x, w = _panel_nodes(bounds, order)
+        assert x.size == w.size == order * (bounds.size - 1)
+        p = 2 * order - 1
+        exact = (bounds[-1] ** (p + 1) - bounds[0] ** (p + 1)) / (p + 1)
+        assert abs(w @ x**p / exact - 1.0) < 1e-13
 
 
 class TestIntegration:

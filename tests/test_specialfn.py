@@ -210,6 +210,13 @@ class TestSphericalFunction:
             b = spherical_function_sphere_average(lam, rho, n)
             assert np.allclose(a, b, rtol=1e-8, atol=1e-12)
 
+    def test_sphere_average_rejects_rho_above_12(self):
+        # past rho = 12 the boundary layer outruns the dyadic grading
+        # (3e-3 relative to phi_0 at rho = 13, up to 89 % at rho = 16)
+        assert np.isfinite(spherical_function_sphere_average(3.0, 12.0, 3))
+        with pytest.raises(ValueError):
+            spherical_function_sphere_average(3.0, np.array([1.0, 12.5]), 3)
+
     @pytest.mark.parametrize("n,lam", [(3, 5.3), (4, 5.3), (5, 2.0), (2, 4.5)])
     def test_eigenfunction_residual(self, n, lam, grid12):
         # tolerance is set by the finite-difference Laplacian, whose
