@@ -817,7 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", type=int, default=2)
     v.add_argument("--p", type=float, default=None)
     v.add_argument("--lam", type=float, default=1.0,
-                   help="bilinear kernel exponent for the hls rows")
+                   help="bilinear kernel exponent for the hls rows (on H^3): "
+                        "0 < lam < 2; from 2 on they raise NotImplementedError")
     v.add_argument("--eps", type=_parse_eps, default=(0.4, 0.2, 0.1, 0.05),
                    help="comma-separated concentration parameters")
     v.add_argument("--rho-max", type=float, default=12.0)

@@ -267,7 +267,7 @@ def _theta_plain(num: int, n: int):
     return theta, weight
 
 
-def _theta_graded(n: int, levels: int = 15, per_panel: int = 12):
+def _theta_graded(n: int, levels: int, per_panel: int):
     # dyadic panels accumulating at theta = 0, where the two-point
     # distance degenerates and singular kernels concentrate
     bounds = np.concatenate(
@@ -353,14 +353,7 @@ def radial_convolution(f_values, g_values, grid: RadialGrid, n: int) -> np.ndarr
     return _convolve(f_values, geval, grid, n, theta, wtheta)
 
 
-def convolve_with_kernel(
-    f_values,
-    kernel,
-    grid: RadialGrid,
-    n: int,
-    levels: int = 15,
-    per_panel: int = 12,
-) -> np.ndarray:
+def convolve_with_kernel(f_values, kernel, grid: RadialGrid, n: int) -> np.ndarray:
     """Convolve grid samples of f with a radial kernel given as a callable.
 
     Meant for kernels with an integrable singularity at zero distance
@@ -369,7 +362,7 @@ def convolve_with_kernel(
     callable receives distances as an ndarray and must handle values
     down to ~1e-4 * sinh(rho).
     """
-    theta, wtheta = _theta_graded(n, levels=levels, per_panel=per_panel)
+    theta, wtheta = _theta_graded(n, 15, 12)
     return _convolve(f_values, kernel, grid, n, theta, wtheta)
 
 

@@ -182,6 +182,29 @@ class TestVerifyReports:
         assert declared["exact_ladder_recursion"].anchor.endswith("k <= 6")
         assert "on 210 monomial cases" in declared["exact_conjugation_monomials"].anchor
 
+    def test_hls_rows_at_lam_2_name_not_implemented(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        table = cli._check_table
+
+        def hls_only(cfg):
+            return [c for c in table(cfg) if c.rows[0].check_id.startswith("ineq_hls")]
+
+        monkeypatch.setattr(cli, "_check_table", hls_only)
+        out = tmp_path / "r.csv"
+        code = main(["verify", "--suite", "inequalities", "--lam", "2",
+                     "--out", str(out)])
+        assert code == 1
+        _, _, rows = read_report(out)
+        assert [r[0] for r in rows] == [
+            "ineq_hls_battery", "ineq_hls_concentration", "ineq_hls_strictly_below"
+        ]
+        for r in rows:
+            assert math.isnan(float(r[2])) and r[6] == "false"
+        fails = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("FAIL")]
+        assert len(fails) == 3
+        assert all("NotImplementedError" in ln for ln in fails)
+
     def test_invalid_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nosuch"])

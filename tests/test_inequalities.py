@@ -1,12 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from scipy.integrate import quad
+from scipy.special import hyp2f1, roots_legendre
 
 from hypverify.inequalities import (
     BubbleFamily,
     InequalitySpec,
+    _hls_2f1,
+    _hls_angular,
     biharmonic_hardy_identity_check,
     bubble_family,
     convolution_bound_check,
@@ -25,6 +29,7 @@ from hypverify.inequalities import (
 )
 from hypverify.radial import (
     RadialFunction,
+    convolve_with_kernel,
     integrate_radial,
     lp_norm,
     make_radial_grid,
@@ -409,9 +414,10 @@ class TestHLS:
         assert abs(hls_bilinear(f, g, 1.0) / hls_bilinear(g, f, 1.0) - 1.0) < 1e-12
 
     def test_unconverged_kernel_raises(self, hls_grid):
-        # near lambda = n the inner integral genuinely stops
-        # converging at this resolution; the self-check must say so
-        # rather than return a number
+        # from lambda = n - 1 on, the inner integral is singular on the
+        # diagonal and the band rule cannot integrate it; it must say
+        # so (NotImplementedError, a RuntimeError) rather than return
+        # a number
         f = RadialFunction(hls_grid, np.exp(-(hls_grid.nodes**2)), 3)
         with pytest.raises(RuntimeError):
             hls_bilinear(f, f, 2.5)
@@ -428,6 +434,165 @@ class TestHLS:
             hls_trial_family(0.1, 3, 0.0)
         with pytest.raises(ValueError):
             hls_trial_family(-0.1, 3, 1.0)
+
+
+def _angular_by_quad(r, s, lam, n):
+    # int_0^pi (a^2 + c sin^2(theta/2))^(-lam/2) sin^(n-2) theta d theta
+    # by adaptive quad, cut geometrically above the knee at the scale
+    # theta ~ a / sqrt(c) where the integrand turns over
+    a2 = (2.0 * math.sinh(0.5 * (r - s))) ** 2
+    c = 4.0 * math.sinh(r) * math.sinh(s)
+    if a2 == 0.0:
+        # on the diagonal it is theta^(n-2-lam) times a smooth factor
+        def smooth(th):
+            if th == 0.0:
+                return c ** (-0.5 * lam) * 2.0**lam
+            return (
+                c ** (-0.5 * lam)
+                * (th / math.sin(0.5 * th)) ** lam
+                * (math.sin(th) / th) ** (n - 2)
+            )
+
+        return quad(smooth, 0.0, math.pi, weight="alg", wvar=(n - 2 - lam, 0.0),
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    def integrand(th):
+        return (a2 + c * math.sin(0.5 * th) ** 2) ** (-0.5 * lam) * math.sin(th) ** (n - 2)
+
+    knee = 2.0 * math.sqrt(a2 / c)
+    cuts = [0.0, *(x for x in knee * 4.0 ** np.arange(40) if x < math.pi), math.pi]
+    return sum(
+        quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    )
+
+
+def _trial_h3(eps, lam):
+    # hls_trial_family's profile on H^3 as a scalar function of rho
+    def bump(x):
+        return math.exp(-1.0 / x) if x > 0.0 else 0.0
+
+    def profile(rho):
+        r = math.tanh(0.5 * rho)
+        edge = (0.9 - r) / 0.1
+        cut = bump(edge) / (bump(edge) + bump(1.0 - edge))
+        return (0.5 * (1.0 - r * r) * eps / (eps * eps + r * r)) ** (3.0 - 0.5 * lam) * cut
+
+    return profile
+
+
+def _hls_h3_by_quad(f, g, lam, rho_max):
+    # 8 pi^2 int int f g sinh r sinh s (b^(2-lam) - a^(2-lam))/(2-lam):
+    # the n = 3 product formula, inner integral split at its kink s = r
+    def angular(r, s):
+        a = 2.0 * math.sinh(0.5 * abs(r - s))
+        b = 2.0 * math.sinh(0.5 * (r + s))
+        return (b ** (2.0 - lam) - a ** (2.0 - lam)) / (2.0 - lam)
+
+    def inner(r):
+        def gr(s):
+            return g(s) * math.sinh(s) * angular(r, s)
+
+        lo = quad(gr, 0.0, r, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+        hi = quad(gr, r, rho_max, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+        return f(r) * math.sinh(r) * (lo + hi)
+
+    return 8.0 * math.pi**2 * quad(inner, 0.0, rho_max, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+
+class TestHLSClosedForm:
+    # pairs (r, s): generic, w -> 0 (one radius near the origin) and
+    # w = 1 (the diagonal)
+    PAIRS = ((0.7, 1.3), (1e-7, 2.5), (3.0, 1e-6), (0.8, 0.8), (2.0, 2.0), (1e-3, 1e-3))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7])
+    def test_angular_integral_against_quad(self, n):
+        for lam in (0.3, 1.0, n - 1.05):
+            for r, s in self.PAIRS:
+                got = _hls_angular(np.float64(r), np.float64(s), lam, n)
+                want = _angular_by_quad(r, s, lam, n)
+                assert abs(got / want - 1.0) < 1e-12, (lam, r, s)
+
+    def test_angular_integral_near_the_diagonal_n3(self):
+        # 1 - w ~ 2e-13: the n = 3 form takes log(1 - w) from a/b there.
+        # Other n are left out: scipy's hyp2f1 sees w alone and, for
+        # lam near n - 1, is off by up to 1e-4 this close to w = 1
+        for lam in (0.3, 1.0, 1.95):
+            got = _hls_angular(np.float64(1.0), np.float64(1.0 + 1e-6), lam, 3)
+            want = _angular_by_quad(1.0, 1.0 + 1e-6, lam, 3)
+            assert abs(got / want - 1.0) < 1e-12, lam
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 1.5, 1.95])
+    def test_n3_elementary_form_is_the_2f1(self, lam):
+        w = np.concatenate(
+            [np.geomspace(1e-12, 0.5, 30), 1.0 - np.geomspace(0.5, 1e-15, 30), [1.0]]
+        )
+        got = _hls_2f1(lam, 3, w, np.sqrt(1.0 - w))
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.hyp2f1(0.5 * lam, 1, 2, x)) for x in w])
+        assert np.max(np.abs(got / want - 1.0)) < 1e-14
+        # scipy agrees to its own 4e-14 until 1 - w < 1e-13, which it
+        # evaluates as w = 1
+        sel = w < 1.0 - 1e-10
+        scipy_2f1 = hyp2f1(0.5 * lam, 1.0, 2.0, w[sel])
+        assert np.max(np.abs(got[sel] / scipy_2f1 - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("lam", [0.5, 1.4, 1.9])
+    def test_bilinear_against_quad_oracle(self, lam):
+        grid = make_radial_grid(rho_max=3.0, num_nodes=288)
+        f = RadialFunction(grid, np.exp(-(grid.nodes**2)), 3)
+        g = hls_trial_family(0.3, 3, lam, grid=grid)
+        trial = _trial_h3(0.3, lam)
+        assert np.allclose([trial(x) for x in grid.nodes], g.values, rtol=1e-12, atol=0.0)
+        want = _hls_h3_by_quad(lambda r: math.exp(-r * r), trial, lam, 3.0)
+        assert abs(hls_bilinear(f, g, lam) / want - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("n,lam", [(4, 0.5), (5, 1.0)])
+    def test_bilinear_against_theta_graded_route(self, n, lam):
+        # the route hls_bilinear used to take: a graded angular rule,
+        # then plain Gauss sums over the |r-s|^(n-1-lam) kink, which
+        # costs the oracle about 6e-7 (n = 4) and 1e-7 (n = 5) here
+        grid = make_radial_grid(rho_max=3.0, num_nodes=144)
+        f = RadialFunction(grid, np.exp(-(grid.nodes**2)), n)
+        g = RadialFunction(grid, np.exp(-2.0 * grid.nodes**2), n)
+        inner = convolve_with_kernel(
+            g.values, lambda d: (2.0 * np.sinh(0.5 * d)) ** -lam, grid, n
+        )
+        want = integrate_radial(f.values * inner, grid, n)
+        assert abs(hls_bilinear(f, g, lam) / want - 1.0) < 1e-6
+
+    def test_strong_kink_is_grid_stable(self):
+        # n = 5, lam = 3.5: the kink is |r-s|^(1/2); plain sums over it
+        # miss by 1e-2 on these grids, the band rule holds 1e-10
+        vals = []
+        for size in (96, 192):
+            grid = make_radial_grid(rho_max=3.0, num_nodes=size)
+            f = RadialFunction(grid, np.exp(-(grid.nodes**2)), 5)
+            g = RadialFunction(grid, np.exp(-2.0 * grid.nodes**2), 5)
+            vals.append(hls_bilinear(f, g, 3.5))
+        assert abs(vals[0] / vals[1] - 1.0) < 1e-9
+
+    def test_estimate_sits_below_constant_and_is_grid_converged(self):
+        # the default 768-node trial grid used to put the eps = 0.025
+        # ratio 2.7e-5 above the sharp constant
+        spec = InequalitySpec("hls", n=3, lambda_exp=1.0)
+        est = estimate_best_constant(spec, (0.05, 0.025))
+        assert est < hls_constant(3, 1.0)
+        fine = make_radial_grid(rho_max=3.0, num_nodes=1536)
+        ratio = deficit(hls_trial_family(0.025, 3, 1.0, grid=fine), spec).ratio
+        assert abs(est / ratio - 1.0) < 1e-8
+
+    def test_lambda_from_n_minus_1_not_implemented(self):
+        grid = make_radial_grid(rho_max=3.0, num_nodes=64)
+        f = RadialFunction(grid, np.exp(-(grid.nodes**2)), 5)
+        with pytest.raises(NotImplementedError, match="n - 1"):
+            hls_bilinear(f, f, 4.0)
+
+    def test_grid_of_8_node_panels_required(self):
+        grid = make_radial_grid(rho_max=3.0, num_nodes=100, kind="uniform")
+        f = RadialFunction(grid, np.exp(-(grid.nodes**2)), 3)
+        with pytest.raises(ValueError, match="8-node panels"):
+            hls_bilinear(f, f, 1.0)
 
 
 class TestConvolutionBound:
