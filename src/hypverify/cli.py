@@ -73,9 +73,6 @@ class RunConfig:
     p: float | None = None
     lambda_exp: float = 1.0
     eps_grid: tuple = (0.4, 0.2, 0.1, 0.05)
-    rho_max: float = 12.0
-    num_nodes: int = 896
-    lam_max: float = 40.0
     kmax: int = 6
     seed: int = 0
     fmt: str = "csv"
@@ -87,8 +84,8 @@ class RunConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        if self.n < 2 or self.rho_max <= 0 or self.lam_max <= 0:
-            raise ValueError("invalid grid parameters")
+        if self.n < 2:
+            raise ValueError("need n >= 2")
         if not self.eps_grid or any(e <= 0 for e in self.eps_grid):
             raise ValueError("eps grid must be positive")
 
@@ -294,20 +291,21 @@ def _density_poly(cfg, rng, n):
     return float(np.max(np.abs(specialfn.plancherel_density(lam, n) / want - 1.0))), 0.0
 
 
-def _transform_grids(cfg):
-    grid = radial.make_radial_grid(rho_max=cfg.rho_max, num_nodes=cfg.num_nodes)
-    return grid, spectral.make_spectral_grid(lam_max=cfg.lam_max, num_nodes=1024)
+def _transform_grids():
+    grid = radial.make_radial_grid(rho_max=12.0, num_nodes=896)
+    return grid, spectral.make_spectral_grid(lam_max=40.0, num_nodes=1024)
 
 
 def _roundtrip(cfg, rng, n):
-    grid, sgrid = _transform_grids(cfg)
-    rf = radial.RadialFunction(grid, np.exp(-grid.nodes**2), n)
-    back = spectral.SpectralFunction.from_radial(rf, sgrid).to_radial(grid)
-    return float(np.max(np.abs(back.values - rf.values))), 0.0
+    grid, sgrid = _transform_grids()
+    f = np.exp(-grid.nodes**2)
+    fhat = spectral.forward_transform(f, grid, n, sgrid.nodes)
+    back = spectral.inverse_transform(fhat, sgrid, n, grid.nodes)
+    return float(np.max(np.abs(back - f))), 0.0
 
 
 def _isometry(cfg, rng):
-    grid, sgrid = _transform_grids(cfg)
+    grid, sgrid = _transform_grids()
     space, freq = spectral.plancherel_check(np.exp(-grid.nodes**2), grid, 3, sgrid)
     return freq, space
 
@@ -350,7 +348,7 @@ def _ball_conjugation(cfg, rng, n, k):
 def _deficit_inputs(cfg):
     """Spectral grid, concentrating bubble and subcritical exponent."""
     n, k = cfg.n, cfg.k
-    sgrid = spectral.make_spectral_grid(lam_max=180.0, num_nodes=1080)
+    sgrid = inequalities._bubble_sgrid()
     bubble = inequalities.bubble_family(0.3, n, k)
     subcrit = cfg.p if cfg.p is not None else (2.0 * n + 2.0 * n / (n - 2 * k)) / 4.0
     return sgrid, bubble, subcrit
@@ -691,6 +689,9 @@ def run_suite(cfg: RunConfig) -> tuple[int, str]:
 # -- kernel tables --------------------------------------------------------
 
 
+_TABLE_KERNELS = ("heat", "resolvent", "green", "product-resolvent", "qk-inverse")
+
+
 def tabulate_kernel(kind: str, rho_list, n: int, out_path: str | None = None,
                     t: float = 1.0, lam0: float = -3.0, outdir: str | None = None) -> str:
     """Write a CSV table rho, value, reference, rel_err for one kernel.
@@ -704,38 +705,36 @@ def tabulate_kernel(kind: str, rho_list, n: int, out_path: str | None = None,
     rho = np.asarray(list(rho_list), dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("rho values must be positive")
+    if kind not in _TABLE_KERNELS:
+        raise ValueError(f"unknown kernel {kind!r}")
+    if kind == "product-resolvent" and n != 5:
+        raise ValueError("the product kernel lives in dimension 5")
     ref = None
-    if kind == "heat":
-        vals = kernels.heat_kernel(t, rho, n) if rho.size else np.empty(0)
-        if n == 3 and rho.size:
+    if not rho.size:
+        vals = rho
+    elif kind == "heat":
+        vals = kernels.heat_kernel(t, rho, n)
+        if n == 3:
             ref = _heat_closed_form(t, rho)
     elif kind == "resolvent":
-        vals = kernels.resolvent_kernel(lam0, rho, n) if rho.size else np.empty(0)
-        if n % 2 == 1 and rho.size:
+        vals = kernels.resolvent_kernel(lam0, rho, n)
+        if n % 2 == 1:
             ref = kernels._resolvent_closed_odd(lam0, rho, n)
     elif kind == "green":
-        vals = kernels.limiting_green_kernel(rho, n) if rho.size else np.empty(0)
-        if n == 3 and rho.size:
+        vals = kernels.limiting_green_kernel(rho, n)
+        if n == 3:
             ref = 1.0 / (4.0 * math.pi * np.sinh(rho))
     elif kind == "product-resolvent":
-        if n != 5:
-            raise ValueError("the product kernel lives in dimension 5")
-        vals = kernels.product_resolvent_h5(-4.0, -3.0, rho) if rho.size else np.empty(0)
-        if rho.size:
-            ref = (np.cosh(rho) - 1.0) / (8.0 * math.pi**2 * np.sinh(rho) ** 3)
-    elif kind == "qk-inverse":
-        if rho.size:
-            grid = radial.make_radial_grid(rho_max=float(np.max(rho)) * 1.2 + 1.0,
-                                           num_nodes=512)
-            order = 2 if n >= 5 else 1
-            conv = kernels.qk_inverse_kernel(grid, n, order, route="convolution")
-            spect = kernels.qk_inverse_kernel(grid, n, order, route="spectral")
-            vals = CubicSpline(grid.nodes, conv)(rho)
-            ref = CubicSpline(grid.nodes, spect)(rho)
-        else:
-            vals = np.empty(0)
+        vals = kernels.product_resolvent_h5(-4.0, -3.0, rho)
+        ref = (np.cosh(rho) - 1.0) / (8.0 * math.pi**2 * np.sinh(rho) ** 3)
     else:
-        raise ValueError(f"unknown kernel {kind!r}")
+        grid = radial.make_radial_grid(rho_max=float(np.max(rho)) * 1.2 + 1.0,
+                                       num_nodes=512)
+        order = 2 if n >= 5 else 1
+        conv = kernels.qk_inverse_kernel(grid, n, order, route="convolution")
+        spect = kernels.qk_inverse_kernel(grid, n, order, route="spectral")
+        vals = CubicSpline(grid.nodes, conv)(rho)
+        ref = CubicSpline(grid.nodes, spect)(rho)
 
     path = out_path
     if path is None:
@@ -821,9 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "0 < lam < 2; from 2 on they raise NotImplementedError")
     v.add_argument("--eps", type=_parse_eps, default=(0.4, 0.2, 0.1, 0.05),
                    help="comma-separated concentration parameters")
-    v.add_argument("--rho-max", type=float, default=12.0)
-    v.add_argument("--lam-max", type=float, default=40.0)
-    v.add_argument("--grid-nodes", type=int, default=896)
     v.add_argument("--kmax", type=int, default=6,
                    help="depth of the exact recursion checks")
     v.add_argument("--seed", type=int, default=0)
@@ -838,8 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tabulate", help="write a kernel value table")
     t.add_argument("--kernel", required=True,
-                   choices=("heat", "resolvent", "green", "product-resolvent",
-                            "qk-inverse"))
+                   choices=_TABLE_KERNELS)
     t.add_argument("--n", type=int, default=3)
     t.add_argument("--t", type=float, default=1.0, help="heat time")
     t.add_argument("--lam0", type=float, default=-3.0, help="resolvent shift")
@@ -879,9 +874,6 @@ def main(argv=None) -> int:
             p=args.p,
             lambda_exp=args.lam,
             eps_grid=args.eps,
-            rho_max=args.rho_max,
-            num_nodes=args.grid_nodes,
-            lam_max=args.lam_max,
             kmax=args.kmax,
             seed=args.seed,
             fmt=args.format,

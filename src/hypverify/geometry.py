@@ -24,30 +24,6 @@ class BoundaryError(ValueError):
     """Raised for points outside the open model domain or too close to its boundary."""
 
 
-@dataclass(frozen=True)
-class Dimension:
-    """Ambient dimension of the hyperbolic space, n >= 2."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise TypeError("dimension must be an integer")
-        if self.n < 2:
-            raise ValueError("hyperbolic space needs n >= 2")
-        object.__setattr__(self, "n", int(self.n))
-
-    @property
-    def spectral_gap(self) -> float:
-        """Bottom (n-1)^2/4 of the L^2 spectrum of the (positive) Laplacian."""
-        return (self.n - 1) ** 2 / 4.0
-
-    @property
-    def conformal_shift(self) -> float:
-        """n(n-2)/4, the zeroth-order coefficient of the conformal Laplacian."""
-        return self.n * (self.n - 2) / 4.0
-
-
 def _validated_coords(raw, kind: str) -> np.ndarray:
     c = np.array(raw, dtype=float)
     if c.ndim != 1 or c.size < 2:

@@ -50,8 +50,8 @@ from scipy.special import beta, hyp2f1
 
 from hypverify.radial import (
     _GRID_ORDER,
+    Grid,
     RadialFunction,
-    RadialGrid,
     _panel_nodes,
     integrate_radial,
     lp_norm,
@@ -61,7 +61,6 @@ from hypverify.radial import (
 )
 from hypverify.spectral import (
     MultiplierSpec,
-    SpectralGrid,
     make_spectral_grid,
     quadratic_form,
 )
@@ -266,13 +265,16 @@ def _cutoff(r, edge: float = 0.9, width: float = 0.1):
     return lo / (lo + _bump(1.0 - s))
 
 
+_BUBBLE_CUTOFF = 0.9
+
+
 @dataclass(frozen=True)
 class BubbleFamily:
     """Concentrating Sobolev trial family in ball coordinates.
 
     The flat-side profile is the standard bubble
     (eps/(eps^2+r^2))^((n-2k)/2) truncated by subtracting its tangent
-    parabola at cutoff_radius, so value and slope both vanish there.
+    parabola at ball radius 0.9, so value and slope both vanish there.
     A multiplicative cutoff would inject its own derivatives into the
     higher-order Rayleigh quotient and swamp the sharp constant when
     n - 2k is small; the matched truncation costs only O(eps^(n-2k)),
@@ -285,13 +287,10 @@ class BubbleFamily:
     epsilon: float
     n: int
     k: int
-    cutoff_radius: float = 0.9
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0.0:
             raise ValueError("need epsilon > 0")
-        if not 0.0 < self.cutoff_radius < 1.0:
-            raise ValueError("cutoff must sit strictly inside the unit ball")
         if not 1 <= self.k < self.n / 2.0:
             raise ValueError("need 1 <= k < n/2")
 
@@ -299,7 +298,7 @@ class BubbleFamily:
         # bubble minus its tangent parabola at the cutoff radius: the
         # profile is C^{1,1}, nonnegative, and decreasing on [0, R]
         m = self.n - 2 * self.k
-        R = self.cutoff_radius
+        R = _BUBBLE_CUTOFF
         e2 = self.epsilon**2
         a = (e2 + R * R) ** (-m / 2.0)
         b = -(m / 2.0) * (e2 + R * R) ** (-m / 2.0 - 1.0)
@@ -308,7 +307,7 @@ class BubbleFamily:
         inside = w0 - (a + b * (r * r - R * R))
         return self.epsilon ** (m / 2.0) * np.where(r < R, inside, 0.0)
 
-    def profile(self, grid: RadialGrid | None = None) -> RadialFunction:
+    def profile(self, grid: Grid | None = None) -> RadialFunction:
         if grid is None:
             grid = make_radial_grid(rho_max=3.0, num_nodes=768)
         r = np.tanh(0.5 * grid.nodes)
@@ -317,14 +316,14 @@ class BubbleFamily:
 
 
 def bubble_family(
-    eps: float, n: int, k: int, grid: RadialGrid | None = None
+    eps: float, n: int, k: int, grid: Grid | None = None
 ) -> RadialFunction:
     """Sobolev-type bubble as a hyperbolic radial function."""
     return BubbleFamily(eps, n, k).profile(grid)
 
 
 def hls_trial_family(
-    eps: float, n: int, lambda_exp: float, grid: RadialGrid | None = None
+    eps: float, n: int, lambda_exp: float, grid: Grid | None = None
 ) -> RadialFunction:
     """Concentrating family adapted to the bilinear form.
 
@@ -347,10 +346,6 @@ def hls_trial_family(
 # -- deficit functionals -----------------------------------------------
 
 
-def _default_sgrid(lam_max: float = 160.0) -> SpectralGrid:
-    return make_spectral_grid(lam_max=lam_max, num_nodes=max(1024, int(6 * lam_max)))
-
-
 # Largest spectral window the default 768-node trial grid supports
 # before forward-transform aliasing noise (amplified by the order-2k
 # symbol) overtakes the kink tail of the truncated bubble.  Measured
@@ -359,37 +354,36 @@ def _default_sgrid(lam_max: float = 160.0) -> SpectralGrid:
 _BUBBLE_LAM_MAX = 180.0
 
 
-def _bubble_sgrid() -> SpectralGrid:
+def _bubble_sgrid() -> Grid:
     return make_spectral_grid(lam_max=_BUBBLE_LAM_MAX, num_nodes=1080)
 
 
 def deficit(
     u: RadialFunction,
     spec: InequalitySpec,
-    sgrid: SpectralGrid | None = None,
-    constant: float | None = None,
+    sgrid: Grid | None = None,
     tail_tol: float | None = 1e-5,
 ) -> DeficitReport:
-    """Evaluate lhs, rhs, and deficit = lhs - constant*rhs for one spec.
+    """Evaluate lhs, rhs, and deficit = lhs - C*rhs for one spec.
 
-    The quadratic left side is computed spectrally, so ``sgrid`` must
-    resolve the profile.  A smooth compactly supported cutoff has a
-    sub-exponential spectral tail that never clears the default tail
-    guard; for such profiles pass tail_tol=None together with a window
-    whose truncation error has been measured (ratio_curve does this for
-    the built-in families).  For 'hls' the left side is the bilinear
-    form of u with itself and the deficit is <= 0 (the constant sits
-    above).
+    C is ``spec.default_constant()``.  The quadratic left side is
+    computed spectrally, so ``sgrid`` must resolve the profile.  A
+    smooth compactly supported cutoff has a sub-exponential spectral
+    tail that never clears the default tail guard; for such profiles
+    pass tail_tol=None together with a window whose truncation error
+    has been measured (ratio_curve does this for the built-in
+    families).  For 'hls' the left side is the bilinear form of u with
+    itself and the deficit is <= 0 (the constant sits above).
     """
     if u.n != spec.n:
         raise ValueError("profile dimension does not match the spec")
-    c = spec.default_constant() if constant is None else constant
+    c = spec.default_constant()
     if spec.variant == "hls":
         lhs = hls_bilinear(u, u, spec.lambda_exp)
         rhs = lp_norm(u.values, u.grid, u.n, spec.p) ** 2
         return DeficitReport.build(lhs, rhs, c)
     if sgrid is None:
-        sgrid = _default_sgrid()
+        sgrid = make_spectral_grid(lam_max=160.0, num_nodes=1024)
     rhs = lp_norm(u.values, u.grid, u.n, spec.p) ** 2
     mult = spec.multiplier()
     if spec.variant in ("poincare", "poincare_pk"):
@@ -410,7 +404,7 @@ def deficit(
 def halfspace_deficit(
     u_ball: RadialFunction,
     spec: InequalitySpec,
-    sgrid: SpectralGrid | None = None,
+    sgrid: Grid | None = None,
     tail_tol: float | None = 1e-5,
 ) -> DeficitReport:
     """The half-space Hardy form, evaluated through its ball equivalent.
@@ -475,7 +469,7 @@ def _hls_angular(r, s, lam: float, n: int):
 _HLS_BAND_BITS = 36
 
 
-def _hls_band(grid: RadialGrid, lam: float, n: int) -> np.ndarray:
+def _hls_band(grid: Grid, lam: float, n: int) -> np.ndarray:
     """Product-integration weights of the inner integral near its kink.
 
     The angular integral has a |r - s|^(n-1-lam) kink on the diagonal.
@@ -602,11 +596,7 @@ def _trial(spec: InequalitySpec, eps: float) -> RadialFunction:
     return bubble_family(eps, spec.n, spec.k)
 
 
-def ratio_curve(
-    spec: InequalitySpec,
-    eps_grid,
-    sgrid: SpectralGrid | None = None,
-) -> np.ndarray:
+def ratio_curve(spec: InequalitySpec, eps_grid) -> np.ndarray:
     """lhs/rhs along the trial family, one entry per eps.
 
     Spectral windows: the trial profiles are only C^{1,1} at their
@@ -619,20 +609,14 @@ def ratio_curve(
     eps_arr = [float(e) for e in eps_grid]
     if not eps_arr:
         raise ValueError("eps grid must be nonempty")
-    tail_tol: float | None = 1e-5
-    if spec.variant == "hls":
-        sgrid = None
-    elif spec.variant in ("poincare", "poincare_pk"):
-        if sgrid is None:
-            sgrid = make_spectral_grid(lam_max=64.0, num_nodes=768)
-        tail_tol = None
-    else:
-        if sgrid is None:
-            sgrid = _bubble_sgrid()
-        tail_tol = None
+    sgrid = None  # the hls form is not spectral
+    if spec.variant in ("poincare", "poincare_pk"):
+        sgrid = make_spectral_grid(lam_max=64.0, num_nodes=768)
+    elif spec.variant != "hls":
+        sgrid = _bubble_sgrid()
     out = []
     for eps in eps_arr:
-        out.append(deficit(_trial(spec, eps), spec, sgrid=sgrid, tail_tol=tail_tol).ratio)
+        out.append(deficit(_trial(spec, eps), spec, sgrid=sgrid, tail_tol=None).ratio)
     return np.array(out)
 
 
@@ -640,7 +624,6 @@ def estimate_best_constant(
     spec: InequalitySpec,
     eps_grid,
     extrapolate: bool = False,
-    sgrid: SpectralGrid | None = None,
 ) -> float:
     """Best-constant estimate from the trial family.
 
@@ -653,7 +636,7 @@ def estimate_best_constant(
     eps are combined by first-order Richardson, estimating the eps -> 0
     limit; that value is an estimate, not a bound.
     """
-    ratios = ratio_curve(spec, eps_grid, sgrid=sgrid)
+    ratios = ratio_curve(spec, eps_grid)
     if extrapolate and len(ratios) >= 2:
         order = np.argsort([float(e) for e in eps_grid])
         e0, e1 = (float(eps_grid[i]) for i in order[:2])
@@ -669,13 +652,9 @@ def estimate_best_constant(
 
 @dataclass(frozen=True)
 class ConvolutionBoundReport:
-    alpha: float
-    beta: float
-    n: int
     bound_constant: float
     max_ratio: float
     worst_rho: float
-    holds: bool
 
 
 _POWER_RHO_MAX = 45.0
@@ -721,13 +700,8 @@ def _power_kernel_convolution(alpha, beta, n, rho_y):
     return sphere_area(n - 1) * float(inner @ fvol)
 
 
-def convolution_bound_check(
-    alpha: float,
-    beta: float,
-    n: int,
-    rho_window=(0.05, 10.0),
-) -> ConvolutionBoundReport:
-    """Pointwise kernel-composition bound on a rho window.
+def convolution_bound_check(alpha: float, beta: float, n: int) -> ConvolutionBoundReport:
+    """Pointwise kernel-composition bound for 0.05 <= rho <= 10.
 
     Convolves (sinh rho/2)^(alpha-n) (cosh rho/2)^(-alpha-beta) with
     (sinh rho/2)^(beta-n) and compares against
@@ -743,7 +717,7 @@ def convolution_bound_check(
     """
     if not (0.0 < alpha < n and 0.0 < beta < n and alpha + beta < n):
         raise ValueError("need alpha, beta, alpha+beta in (0, n)")
-    probes = np.geomspace(float(rho_window[0]), float(rho_window[1]), _BOUND_PROBES)
+    probes = np.geomspace(0.05, 10.0, _BOUND_PROBES)
     const = 2.0**n * riesz_gamma(alpha, n) * riesz_gamma(beta, n) / riesz_gamma(
         alpha + beta, n
     )
@@ -757,15 +731,7 @@ def convolution_bound_check(
         )
         ratio[i] = conv / bound
     worst = int(np.argmax(ratio))
-    return ConvolutionBoundReport(
-        alpha,
-        beta,
-        n,
-        const,
-        float(ratio[worst]),
-        float(probes[worst]),
-        bool(ratio[worst] <= 1.0 + 1e-6),
-    )
+    return ConvolutionBoundReport(const, float(ratio[worst]), float(probes[worst]))
 
 
 def riesz_composition_identity(alpha: float, beta: float):
@@ -801,11 +767,6 @@ def riesz_composition_identity(alpha: float, beta: float):
 class HardyIdentityReport:
     spectral_rel: float
     quadrature_rel: float
-    holds: bool
-
-
-_HARDY_SPECTRAL_TOL = 1e-6
-_HARDY_QUADRATURE_TOL = 1e-3
 
 
 def biharmonic_hardy_identity_check() -> HardyIdentityReport:
@@ -819,8 +780,7 @@ def biharmonic_hardy_identity_check() -> HardyIdentityReport:
     (ii) half-space: for u = x1^(1/2) a(x1) b(|x'|), the flat integral
     of (Delta u + u/(4 x1^2))^2 equals the hyperbolic integral of
     (Delta_H f + 3 f)^2 with f = x1^(1/2) u, both done by tensor
-    quadrature.  The identity holds when (i) agrees to 1e-6 and (ii) to
-    1e-3 relative.
+    quadrature.  The report carries the relative gap of each route.
     """
     grid = make_radial_grid(rho_max=12.0, num_nodes=896)
     f = np.exp(-(grid.nodes**2))
@@ -850,9 +810,7 @@ def biharmonic_hardy_identity_check() -> HardyIdentityReport:
     ih = float(np.sum(half**2 * meas))
     iH = float(np.sum(hyp**2 * X1**-5.0 * meas))
     rel_ii = abs(ih / iH - 1.0)
-    return HardyIdentityReport(
-        rel_i, rel_ii, rel_i < _HARDY_SPECTRAL_TOL and rel_ii < _HARDY_QUADRATURE_TOL
-    )
+    return HardyIdentityReport(rel_i, rel_ii)
 
 
 def symbol_gap_infimum(lambda_grid) -> float:
@@ -874,37 +832,29 @@ class DualityChainReport:
     form: float
     kernel_constant: float
     chained_constant: float
-    holds: bool
 
 
-def duality_chain_check(
-    n: int = 5,
-    k: int = 2,
-    eps: float = 0.2,
-    sgrid: SpectralGrid | None = None,
-) -> DualityChainReport:
+def duality_chain_check() -> DualityChainReport:
     """End-to-end bound ||f||_q^2 <= A C ||f||_{Q_k}^2, q = 2n/(n-2k).
 
-    A is the fitted constant with the inverse kernel bounded by
+    On H^5 with k = 2 and the eps = 0.2 bubble.  A is the fitted
+    constant with the inverse kernel bounded by
     A (2 sinh(rho/2))^(2k-n), C the sharp bilinear constant at
     lam = n - 2k; Cauchy-Schwarz in the Q_k inner product plus the
     bilinear bound chains them.  All three numbers are computed
-    independently and the inequality itself is returned.
+    independently; the report carries both sides of the inequality.
     """
     from hypverify.kernels import qk_inverse_kernel
 
+    n, k = 5, 2
     kgrid = make_radial_grid(rho_max=10.0, num_nodes=512)
     kern = qk_inverse_kernel(kgrid, n, k, route="convolution")
     A = float(np.max(kern * (2.0 * np.sinh(0.5 * kgrid.nodes)) ** (n - 2 * k)))
     spec = InequalitySpec("qk_sobolev", n=n, k=k)
-    f = bubble_family(eps, n, k)
-    if sgrid is None:
-        sgrid = _bubble_sgrid()
+    f = bubble_family(0.2, n, k)
     form = quadratic_form(
-        f.values, f.grid, n, MultiplierSpec.gjms_gap(k), sgrid, tail_tol=None
+        f.values, f.grid, n, MultiplierSpec.gjms_gap(k), _bubble_sgrid(), tail_tol=None
     )
     norm_sq = lp_norm(f.values, f.grid, n, spec.critical_p) ** 2
     chained = A * hls_constant(n, n - 2 * k)
-    return DualityChainReport(
-        norm_sq, form, A, chained, bool(norm_sq <= chained * form)
-    )
+    return DualityChainReport(norm_sq, form, A, chained)

@@ -44,8 +44,8 @@ import math
 import numpy as np
 from scipy.special import kv, roots_jacobi
 
-from hypverify.exact import evaluate_rows, ladder, ladder_taylor
-from hypverify.radial import RadialGrid, _panel_nodes, convolve_with_kernel
+from hypverify.exact import LaurentElement, evaluate_rows, ladder, ladder_taylor
+from hypverify.radial import Grid, _panel_nodes, convolve_with_kernel
 from hypverify.spectral import (
     MultiplierSpec,
     make_spectral_grid,
@@ -146,7 +146,7 @@ def heat_kernel(t: float, rho, n: int):
         gap * t + 0.5 * (n - 1) * r + r**2 / (4.0 * t)
     )
     return pref * _weyl_rows(
-        lambda x: _gaussian_ladder(m + 1, t, x), r, log_sigma, 1.0, log_bound
+        lambda x, _: _gaussian_ladder(m + 1, t, x), r, log_sigma, 1.0, log_bound
     )
 
 
@@ -181,7 +181,8 @@ def _weyl_half_integral(fn, rho: np.ndarray, sigma_max: float) -> np.ndarray:
     """2 int_0^sigma_max fn(r(sigma)) d sigma, r = arccosh(cosh rho + sigma^2).
 
     This is int_rho^inf fn(r) sinh(r) (cosh r - cosh rho)^(-1/2) dr with
-    the square-root endpoint removed, at each entry of the 1-d rho.
+    the square-root endpoint removed, at each entry of the 1-d rho.  fn
+    is called as fn(r, rho) with one row of r per rho.
     Callers size sigma_max so the truncated tail is negligible relative
     to the result at the largest rho requested; the panel count grows
     with the window so the per-panel ratio stays resolvable.
@@ -211,7 +212,7 @@ def _weyl_half_integral(fn, rho: np.ndarray, sigma_max: float) -> np.ndarray:
         r = np.log1p(2.0 * xx)
         small = xx[~big]
         r[~big] = np.log1p(small + np.sqrt(small * (small + 2.0)))
-    return 2.0 * (fn(r) @ wts)
+    return 2.0 * (fn(r, rho[:, None]) @ wts)
 
 
 # -- limiting Green kernel ---------------------------------------------
@@ -240,9 +241,38 @@ def limiting_green_kernel(rho, n: int):
     # that decay, with room for its constant
     log_bound = n * np.log(2.0 + r) - 0.5 * (n - 1) * r
     pref = 1.0 / (math.sqrt(2.0) * math.pi * (2.0 * math.pi) ** m)
-    return pref * _weyl_rows(
-        lambda x: _ladder_sum(1, m, -1, 0.0, x, 0.5), r, 0.5 * r, scale, log_bound
+    w = _weyl_rows(
+        lambda x, rows: _green_integrand(m, x, rows), r, 0.5 * r, scale, log_bound
     )
+    return pref * w * np.exp(-(m + 1) * _green_shift(m, r))
+
+
+# The even-n Weyl integrand decays like e^(-(m+1) r) and would underflow
+# while the Green kernel is still a normal float.  A row past
+# (m+1) rho = 300 has it scaled by e^((m+1) shift), shift = rho - 300/(m+1),
+# and the kernel multiplies that back out; nearer rows are not scaled.
+_GREEN_UNSCALED = 300.0
+
+
+def _green_shift(m: int, rho):
+    return np.maximum(rho - _GREEN_UNSCALED / (m + 1), 0.0)
+
+
+def _green_integrand(m: int, r, rho):
+    """0.5 L^m (1/sinh) at r, times e^((m+1) shift) of its row's rho.
+
+    Every ladder term carries the factor 1/sinh^(m+1) = x^(m+1),
+    x = 2 e^(-r) / (1 - e^(-2r)).  The rest is summed first and the
+    factor applied last as (x e^shift)^(m+1), which stays in range
+    where x^(m+1) alone would underflow.
+    """
+    up = LaurentElement({(m + 1, 0): 1})
+    # at kappa = 0 only the q = 0 terms of the ladder count
+    val = evaluate_rows([[(0.5, e * up) for (q, _), e in ladder(1, m, -1) if q == 0]], r)[0]
+    x = np.exp(_green_shift(m, rho) - r) * np.divide(-2.0, np.expm1(-2.0 * r))
+    for _ in range(m + 1):
+        val *= x
+    return val
 
 
 # -- resolvent, arbitrary shift ----------------------------------------
@@ -399,7 +429,7 @@ def _gap_shifts(n: int, k: int):
 
 
 def qk_inverse_kernel(
-    grid: RadialGrid,
+    grid: Grid,
     n: int,
     k: int,
     route: str = "convolution",

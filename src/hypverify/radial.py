@@ -32,12 +32,12 @@ def sphere_area(n: int) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class RadialGrid:
-    """Quadrature nodes and weights on [0, rho_max] (plain d rho weights)."""
+class Grid:
+    """Quadrature nodes and weights on [0, top] (plain d rho or d lam weights)."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    rho_max: float
+    top: float
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -52,7 +52,7 @@ class RadialGrid:
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "rho_max", float(self.rho_max))
+        object.__setattr__(self, "top", float(self.top))
 
     @property
     def size(self) -> int:
@@ -90,37 +90,22 @@ def _graded_bounds(top: float, num_nodes: int, inner: float, order: int) -> np.n
     return np.concatenate([[0.0], geo, uni[1:]])
 
 
-def make_radial_grid(
-    rho_max: float = 20.0,
-    num_nodes: int = 2048,
-    kind: str = "graded",
-) -> RadialGrid:
+def make_radial_grid(rho_max: float = 20.0, num_nodes: int = 2048) -> Grid:
     """Composite quadrature grid on [0, rho_max].
 
-    ``graded`` (the default): one panel [0, 1e-4], geometrically
-    growing panels from 1e-4 to 1, then uniform panels out to
-    ``rho_max``, each carrying 8 Gauss-Legendre nodes.  The
-    grading resolves integrands that behave like a power of rho at the
-    origin.  ``uniform``: midpoint nodes with equal spacing, used by
-    the finite-difference convergence tests where self-similar
-    refinement matters more than quadrature accuracy.
+    One panel [0, 1e-4], geometrically growing panels from 1e-4 to 1,
+    then uniform panels out to ``rho_max``, each carrying 8
+    Gauss-Legendre nodes.  The grading resolves integrands that behave
+    like a power of rho at the origin.
     """
     if rho_max <= 0:
         raise ValueError("rho_max must be positive")
-    if kind == "uniform":
-        h = rho_max / num_nodes
-        nodes = (np.arange(num_nodes) + 0.5) * h
-        weights = np.full(num_nodes, h)
-        return RadialGrid(nodes, weights, rho_max)
-    if kind != "graded":
-        raise ValueError("kind must be 'graded' or 'uniform'")
-
     bounds = _graded_bounds(rho_max, num_nodes, _RADIAL_INNER, _GRID_ORDER)
     nodes, weights = _panel_nodes(bounds, _GRID_ORDER)
-    return RadialGrid(nodes, weights, rho_max)
+    return Grid(nodes, weights, rho_max)
 
 
-def integrate_radial(values, grid: RadialGrid, n: int) -> float:
+def integrate_radial(values, grid: Grid, n: int) -> float:
     """Integral over H^n of a radial profile sampled on the grid.
 
     |S^(n-1)| * sum_i w_i values_i sinh(rho_i)^(n-1).  Batched values
@@ -132,7 +117,7 @@ def integrate_radial(values, grid: RadialGrid, n: int) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def lp_norm(values, grid: RadialGrid, n: int, p: float) -> float:
+def lp_norm(values, grid: Grid, n: int, p: float) -> float:
     """L^p norm against hyperbolic volume; p = inf gives the sup over nodes."""
     values = np.asarray(values, dtype=float)
     if np.isinf(p):
@@ -142,7 +127,7 @@ def lp_norm(values, grid: RadialGrid, n: int, p: float) -> float:
     return float(integrate_radial(np.abs(values) ** p, grid, n)) ** (1.0 / p)
 
 
-def as_callable(values, grid: RadialGrid):
+def as_callable(values, grid: Grid):
     """Interpolate grid samples as a function of distance.
 
     Cubic spline in the variable cosh(rho), in which smooth radial
@@ -201,24 +186,21 @@ def _coth_minus_inv(rho: np.ndarray) -> np.ndarray:
 _FIT_WINDOW = 0.05
 
 
-def radial_laplacian(values, grid: RadialGrid, n: int, order: int = 6) -> np.ndarray:
+def radial_laplacian(values, grid: Grid, n: int) -> np.ndarray:
     """Radial part f'' + (n-1) coth(rho) f' of the hyperbolic Laplacian.
 
-    Differentiation uses Fornberg stencils of width order+1 on the
-    nonuniform grid, with the profile extended evenly through rho = 0.
+    Differentiation uses 7-point Fornberg stencils on the nonuniform
+    grid, with the profile extended evenly through rho = 0.
     Nodes below rho = 0.05 (when at least 8 of them exist) are
     instead handled by an even polynomial fit, which evaluates
     f'/rho without dividing by rho; the innermost nodes would otherwise
-    amplify rounding by 1/rho.  ``order`` = 2 gives the classical
-    3-point stencil for convergence studies.
+    amplify rounding by 1/rho.
     """
     values = np.asarray(values, dtype=float)
     rho = grid.nodes
     if values.shape != rho.shape:
         raise ValueError("values must be sampled on the grid nodes")
-    if order not in (2, 6):
-        raise ValueError("order must be 2 or 6")
-    width = order + 1
+    width = 7
     half = width // 2
     N = rho.size
     if N < width:
@@ -281,7 +263,7 @@ def _conv_rows(
     out_idx: np.ndarray,
     f_weighted: np.ndarray,
     kernel,
-    grid: RadialGrid,
+    grid: Grid,
     n: int,
     theta: np.ndarray,
     wtheta: np.ndarray,
@@ -320,7 +302,7 @@ _THETA_TOL = 1e-8
 _MAX_THETA_NODES = 512
 
 
-def radial_convolution(f_values, g_values, grid: RadialGrid, n: int) -> np.ndarray:
+def radial_convolution(f_values, g_values, grid: Grid, n: int) -> np.ndarray:
     """Convolution of two radial profiles sampled on the same grid.
 
     The inner angular integral uses Gauss-Legendre with the sin^(n-2)
@@ -353,7 +335,7 @@ def radial_convolution(f_values, g_values, grid: RadialGrid, n: int) -> np.ndarr
     return _convolve(f_values, geval, grid, n, theta, wtheta)
 
 
-def convolve_with_kernel(f_values, kernel, grid: RadialGrid, n: int) -> np.ndarray:
+def convolve_with_kernel(f_values, kernel, grid: Grid, n: int) -> np.ndarray:
     """Convolve grid samples of f with a radial kernel given as a callable.
 
     Meant for kernels with an integrable singularity at zero distance
@@ -370,7 +352,7 @@ def convolve_with_kernel(f_values, kernel, grid: RadialGrid, n: int) -> np.ndarr
 class RadialFunction:
     """A radial profile bound to its grid and ambient dimension."""
 
-    grid: RadialGrid
+    grid: Grid
     values: np.ndarray
     n: int
 
@@ -380,21 +362,3 @@ class RadialFunction:
             raise ValueError("values must be sampled on the grid nodes")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_callable(cls, grid: RadialGrid, fn, n: int) -> "RadialFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float), n)
-
-    def integral(self) -> float:
-        return integrate_radial(self.values, self.grid, self.n)
-
-    def lp(self, p: float) -> float:
-        return lp_norm(self.values, self.grid, self.n, p)
-
-    def laplacian(self, order: int = 6) -> "RadialFunction":
-        return RadialFunction(
-            self.grid, radial_laplacian(self.values, self.grid, self.n, order), self.n
-        )
-
-    def __call__(self, rho):
-        return as_callable(self.values, self.grid)(rho)

@@ -35,8 +35,7 @@ from typing import Callable
 import numpy as np
 
 from hypverify.radial import (
-    RadialFunction,
-    RadialGrid,
+    Grid,
     _GRID_ORDER,
     _graded_bounds,
     _panel_nodes,
@@ -50,38 +49,10 @@ class InsufficientDecayError(RuntimeError):
     """The lambda window is too small for the requested quantity."""
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralGrid:
-    """Quadrature nodes and weights on [0, lam_max] (plain d lam weights)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    lam_max: float
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be matching 1-d arrays")
-        if np.any(np.diff(nodes) <= 0) or nodes[0] <= 0:
-            raise ValueError("nodes must be strictly increasing and positive")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "lam_max", float(self.lam_max))
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
-
 _SPECTRAL_INNER = 1e-3
 
 
-def make_spectral_grid(lam_max: float = 40.0, num_nodes: int = 1024) -> SpectralGrid:
+def make_spectral_grid(lam_max: float = 40.0, num_nodes: int = 1024) -> Grid:
     """Composite Gauss-Legendre grid on [0, lam_max].
 
     Same grading as the radial grid: one panel [0, 1e-3], geometric
@@ -94,7 +65,7 @@ def make_spectral_grid(lam_max: float = 40.0, num_nodes: int = 1024) -> Spectral
         raise ValueError("lam_max must be positive")
     bounds = _graded_bounds(lam_max, num_nodes, _SPECTRAL_INNER, _GRID_ORDER)
     nodes, weights = _panel_nodes(bounds, _GRID_ORDER)
-    return SpectralGrid(nodes, weights, lam_max)
+    return Grid(nodes, weights, lam_max)
 
 
 def plancherel_prefactor(n: int) -> float:
@@ -102,7 +73,7 @@ def plancherel_prefactor(n: int) -> float:
     return 2.0 ** (n - 3) / (math.pi * sphere_area(n))
 
 
-def _check_tail(grid: SpectralGrid, contrib: np.ndarray, tol, label: str) -> None:
+def _check_tail(grid: Grid, contrib: np.ndarray, tol, label: str) -> None:
     # share of the (absolute) integrand carried by lam >= 0.9 lam_max
     if tol is None:
         return
@@ -110,18 +81,18 @@ def _check_tail(grid: SpectralGrid, contrib: np.ndarray, tol, label: str) -> Non
     total = float(np.sum(mass))
     if total == 0.0:
         return
-    frac = float(np.sum(mass[grid.nodes >= 0.9 * grid.lam_max])) / total
+    frac = float(np.sum(mass[grid.nodes >= 0.9 * grid.top])) / total
     if frac > tol:
         raise InsufficientDecayError(
-            f"{label}: last tenth of [0, {grid.lam_max:g}] carries "
+            f"{label}: last tenth of [0, {grid.top:g}] carries "
             f"{frac:.2e} of the integrand (tol {tol:.1e}); "
             "enlarge lam_max or pass tail_tol=None to measure anyway"
         )
 
 
-def forward_transform(values, grid: RadialGrid, n: int, lam):
+def forward_transform(values, grid: Grid, n: int, lam):
     """fhat at the requested lambdas for a profile sampled on the grid."""
-    lam_arr = lam.nodes if isinstance(lam, SpectralGrid) else np.asarray(lam, dtype=float)
+    lam_arr = np.asarray(lam, dtype=float)
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
         raise ValueError("values must be sampled on the grid nodes")
@@ -131,9 +102,9 @@ def forward_transform(values, grid: RadialGrid, n: int, lam):
     return float(out[0]) if lam_arr.ndim == 0 else out
 
 
-def inverse_transform(fhat, grid: SpectralGrid, n: int, rho, tail_tol=1e-5):
+def inverse_transform(fhat, grid: Grid, n: int, rho, tail_tol=1e-5):
     """Profile values at rho from transform samples on the spectral grid."""
-    rho_arr = rho.nodes if isinstance(rho, RadialGrid) else np.asarray(rho, dtype=float)
+    rho_arr = np.asarray(rho, dtype=float)
     fhat = np.asarray(fhat, dtype=float)
     if fhat.shape != grid.nodes.shape:
         raise ValueError("fhat must be sampled on the spectral grid nodes")
@@ -144,7 +115,7 @@ def inverse_transform(fhat, grid: SpectralGrid, n: int, rho, tail_tol=1e-5):
     return float(out[0]) if rho_arr.ndim == 0 else out
 
 
-def plancherel_check(values, grid: RadialGrid, n: int, sgrid: SpectralGrid, tail_tol=1e-5):
+def plancherel_check(values, grid: Grid, n: int, sgrid: Grid, tail_tol=1e-5):
     """(space side, frequency side) of int f^2 dV = D_n int fhat^2 |c|^-2."""
     values = np.asarray(values, dtype=float)
     space = integrate_radial(values**2, grid, n)
@@ -182,13 +153,6 @@ class MultiplierSpec:
         )
 
     @staticmethod
-    def fractional_laplacian(gamma: float) -> "MultiplierSpec":
-        return MultiplierSpec(
-            f"(-laplacian)^{gamma:g}",
-            lambda lam, n: (((n - 1) ** 2 + lam**2) / 4.0) ** gamma,
-        )
-
-    @staticmethod
     def gjms(k: int) -> "MultiplierSpec":
         # prod_{i=1..k} (-Delta + i(i-1) - n(n-2)/4); the n-dependence
         # cancels in the symbol
@@ -218,20 +182,13 @@ class MultiplierSpec:
 
         return MultiplierSpec(f"Q{k}", fn)
 
-    @staticmethod
-    def resolvent_shift(shift: float) -> "MultiplierSpec":
-        return MultiplierSpec(
-            f"(-laplacian + {shift:g})^-1",
-            lambda lam, n: 1.0 / (((n - 1) ** 2 + lam**2) / 4.0 + shift),
-        )
-
 
 def quadratic_form(
     values,
-    grid: RadialGrid,
+    grid: Grid,
     n: int,
     spec: MultiplierSpec,
-    sgrid: SpectralGrid,
+    sgrid: Grid,
     tail_tol=1e-5,
 ) -> float:
     """int f (Op f) dV evaluated on the frequency side (forward only).
@@ -245,38 +202,3 @@ def quadratic_form(
     contrib = spec(sgrid.nodes, n) * fhat**2 * dens
     _check_tail(sgrid, contrib, tail_tol, f"quadratic form {spec.name}")
     return plancherel_prefactor(n) * float(np.sum(sgrid.weights * contrib))
-
-
-@dataclass(frozen=True)
-class SpectralFunction:
-    """Transform samples bound to their grid and ambient dimension."""
-
-    grid: SpectralGrid
-    values: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.nodes.shape:
-            raise ValueError("values must be sampled on the grid nodes")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_radial(cls, f: RadialFunction, grid: SpectralGrid) -> "SpectralFunction":
-        return cls(grid, forward_transform(f.values, f.grid, f.n, grid.nodes), f.n)
-
-    def to_radial(self, grid: RadialGrid, tail_tol=1e-5) -> RadialFunction:
-        vals = inverse_transform(self.values, self.grid, self.n, grid.nodes, tail_tol)
-        return RadialFunction(grid, vals, self.n)
-
-    def pair(self, other: "SpectralFunction", tail_tol=1e-5) -> float:
-        """D_n int fhat ghat |c|^-2 d lam, the L^2 pairing upstairs."""
-        if other.grid is not self.grid or other.n != self.n:
-            raise ValueError("pairing requires the same grid and dimension")
-        dens = plancherel_density(self.grid.nodes, self.n)
-        contrib = self.values * other.values * dens
-        _check_tail(self.grid, contrib, tail_tol, "spectral pairing")
-        return plancherel_prefactor(self.n) * float(
-            np.sum(self.grid.weights * contrib)
-        )

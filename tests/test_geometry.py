@@ -7,7 +7,6 @@ from hypverify.geometry import (
     BOUNDARY_TOL,
     BallPoint,
     BoundaryError,
-    Dimension,
     HalfSpacePoint,
     ball_to_halfspace,
     geodesic_distance,
@@ -45,23 +44,6 @@ def ball_vectors(draw, n=None, max_radius=0.85):
 def ball_vector_pairs(draw, count=2, max_radius=0.85):
     n = draw(st.integers(min_value=2, max_value=5))
     return tuple(draw(ball_vectors(n=n, max_radius=max_radius)) for _ in range(count))
-
-
-class TestDimension:
-    def test_values(self):
-        d = Dimension(5)
-        assert d.spectral_gap == 4.0
-        assert d.conformal_shift == 15.0 / 4.0
-        assert Dimension(2).conformal_shift == 0.0
-        assert Dimension(3).spectral_gap == 1.0
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            Dimension(1)
-        with pytest.raises(TypeError):
-            Dimension(3.0)
-        with pytest.raises(TypeError):
-            Dimension(True)
 
 
 class TestPoints:

@@ -324,6 +324,18 @@ class TestLargeRho:
         assert green[0] == pytest.approx(limiting_green_kernel(rho[:1], n)[0], rel=1e-12)
         assert heat[1] == heat[2] == green[2] == 0.0
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_even_green_matches_the_resolvent_down_to_the_float_range(self, n):
+        # the Weyl integrand ~ e^(-(m+1) r) underflows well before the
+        # kernel does; wherever the resolvent at the bottom of the
+        # spectrum is a nonzero float the two must agree
+        rho = np.arange(2.0, 720.0, 2.0)
+        green = limiting_green_kernel(rho, n)
+        ref = resolvent_kernel(-(n - 1) ** 2 / 4.0, rho, n)
+        nz = ref != 0.0
+        assert rho[nz][-1] > 180.0
+        assert np.max(np.abs(green[nz] / ref[nz] - 1.0)) < 1e-10
+
     def test_even_kernel_past_the_float_range_but_not_below_it_raises(self):
         # in dimension 2 the Green kernel at rho = 700 is ~ e^(-350), still
         # a normal float, but its sigma window is not

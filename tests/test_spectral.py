@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypverify.radial import (
-    RadialFunction,
+    Grid,
     integrate_radial,
     make_radial_grid,
     radial_laplacian,
@@ -15,8 +15,6 @@ from hypverify.specialfn import spherical_function
 from hypverify.spectral import (
     InsufficientDecayError,
     MultiplierSpec,
-    SpectralFunction,
-    SpectralGrid,
     forward_transform,
     inverse_transform,
     make_spectral_grid,
@@ -35,7 +33,7 @@ def grid_exp():
 class TestGrid:
     def test_structure(self, sgrid40):
         assert sgrid40.size == sgrid40.nodes.size == sgrid40.weights.size
-        assert sgrid40.lam_max == 40.0
+        assert sgrid40.top == 40.0
         assert np.all(np.diff(sgrid40.nodes) > 0)
         assert sgrid40.nodes[0] > 0
         assert np.all(sgrid40.weights > 0)
@@ -43,18 +41,18 @@ class TestGrid:
 
     def test_small_window(self):
         g = make_spectral_grid(0.5, 64)
-        assert g.lam_max == 0.5
+        assert g.top == 0.5
         assert abs(float(np.sum(g.weights)) - 0.5) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
             make_spectral_grid(-1.0)
         with pytest.raises(ValueError):
-            SpectralGrid(np.array([2.0, 1.0]), np.array([1.0, 1.0]), 2.0)
+            Grid(np.array([2.0, 1.0]), np.array([1.0, 1.0]), 2.0)
         with pytest.raises(ValueError):
-            SpectralGrid(np.array([1.0, 2.0]), np.array([1.0]), 2.0)
+            Grid(np.array([1.0, 2.0]), np.array([1.0]), 2.0)
         with pytest.raises(ValueError):
-            SpectralGrid(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 2.0)
+            Grid(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 2.0)
 
 
 class TestPrefactor:
@@ -80,9 +78,6 @@ class TestRoundTrip:
         for n, f in _battery(grid12.nodes):
             fhat = forward_transform(f, grid12, n, sgrid40.nodes)
             back = inverse_transform(fhat, sgrid40, n, grid12.nodes)
-            # a grid object stands for its nodes
-            assert np.array_equal(forward_transform(f, grid12, n, sgrid40), fhat)
-            assert np.array_equal(inverse_transform(fhat, sgrid40, n, grid12), back)
             rel = np.max(np.abs(back - f)) / np.max(np.abs(f))
             assert rel < 1e-8, (n, rel)
 
@@ -190,11 +185,6 @@ class TestMultipliers:
         )
         q2 = lam**2 / 4.0 * (lam**2 + 9.0) / 4.0
         assert np.allclose(MultiplierSpec.gjms_gap(2)(lam, 6), q2, rtol=1e-15)
-        assert np.allclose(
-            MultiplierSpec.fractional_laplacian(1.0)(lam, 4),
-            MultiplierSpec.laplacian()(lam, 4),
-            rtol=1e-15,
-        )
 
     def test_reciprocal_and_minus(self):
         lam = np.linspace(0.5, 20.0, 40)
@@ -204,15 +194,6 @@ class TestMultipliers:
         )
         shifted = spec.minus(3.0)
         assert np.allclose(shifted(lam, 5), spec(lam, 5) - 3.0, rtol=0, atol=0)
-        res = MultiplierSpec.resolvent_shift(-7.0 / 4.0)
-        lap = MultiplierSpec.laplacian()
-        assert np.allclose(
-            res(lam, 5) * (lap(lam, 5) - 7.0 / 4.0), 1.0, rtol=1e-14
-        )
-        one = np.array([1.0])
-        assert MultiplierSpec.resolvent_shift(1.0)(one, 3)[0] == pytest.approx(
-            1.0 / (5.0 / 4.0 + 1.0)
-        )
         assert MultiplierSpec.gjms_gap(1).reciprocal()(np.array([2.0]), 5)[0] == (
             pytest.approx(1.0)
         )
@@ -257,33 +238,8 @@ class TestQuadraticForm:
         direct = integrate_radial(f * (-radial_laplacian(f, grid12, 3)), grid12, 3)
         assert abs(qf - direct) / abs(direct) < 1e-8
 
-    def test_matches_pairing(self, grid12, sgrid40):
-        rf = RadialFunction(grid12, np.exp(-grid12.nodes**2), 3)
-        sf = SpectralFunction.from_radial(rf, sgrid40)
-        qf = quadratic_form(rf.values, grid12, 3, MultiplierSpec.gjms(2), sgrid40)
-        symbol = MultiplierSpec.gjms(2)(sgrid40.nodes, 3)
-        pair = SpectralFunction(sgrid40, sf.values * symbol, 3).pair(sf)
-        assert abs(qf - pair) < 1e-12 * abs(qf)
-
     def test_slow_decay_raises(self, grid_exp, sgrid40):
         f = np.exp(-2.0 * grid_exp.nodes)
         with pytest.raises(InsufficientDecayError):
             quadratic_form(f, grid_exp, 3, MultiplierSpec.gjms(2), sgrid40)
 
-
-class TestSpectralFunction:
-    def test_roundtrip(self, grid12, sgrid40):
-        rf = RadialFunction(grid12, np.exp(-grid12.nodes**2), 3)
-        back = SpectralFunction.from_radial(rf, sgrid40).to_radial(grid12)
-        assert np.max(np.abs(back.values - rf.values)) < 1e-8
-
-    def test_grid_and_dimension_guards(self, grid12, sgrid40):
-        rf = RadialFunction(grid12, np.exp(-grid12.nodes**2), 3)
-        sf = SpectralFunction.from_radial(rf, sgrid40)
-        other_grid = make_spectral_grid(40.0, 256)
-        rf2 = RadialFunction(grid12, np.exp(-grid12.nodes**2), 3)
-        sf2 = SpectralFunction.from_radial(rf2, other_grid)
-        with pytest.raises(ValueError):
-            sf.pair(sf2)
-        with pytest.raises(ValueError):
-            SpectralFunction(sgrid40, np.ones(3), 3)
