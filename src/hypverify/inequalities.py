@@ -43,11 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import Legendre, legvander
 from scipy.special import beta, hyp2f1
 
+from hypverify.kernels import qk_inverse_kernel
 from hypverify.radial import (
     _GRID_ORDER,
     Grid,
@@ -69,7 +71,6 @@ VARIANTS = (
     "poincare",
     "poincare_pk",
     "qk_sobolev",
-    "pk_deficit",
     "hardy_mazya",
     "sharp_sobolev",
     "hls",
@@ -143,10 +144,11 @@ class InequalitySpec:
         poincare       |grad u|^2        vs  ||u||_2^2,  gap (n-1)^2/4
         poincare_pk    P_k form          vs  ||u||_2^2,  gap prod (2i-1)^2/4
         qk_sobolev     Q_k form          vs  ||u||_p^2
-        pk_deficit     P_k form - gap    vs  ||u||_p^2
-        hardy_mazya    same numbers as pk_deficit; stated on the
-                       half-space, where the weight x1^gamma with
-                       gamma = (n-2k) p/2 - n makes the two sides match
+        hardy_mazya    P_k form - gap    vs  ||u||_p^2; on the half
+                       space, v = x1^(n/2-k) u turns this into the
+                       Hardy-Sobolev-Maz'ya inequality for v, whose
+                       p-norm carries the weight x1^gamma,
+                       gamma = (n-2k) p/2 - n
         sharp_sobolev  P_k form          vs  ||u||_p^2 at critical p,
                        constant sobolev_constant(n, k)
         hls            bilinear form     vs  ||u||_p ||u||_p
@@ -200,12 +202,6 @@ class InequalitySpec:
     def gap_constant(self) -> float:
         return _gap_product(self.k)
 
-    @property
-    def weight_exponent(self) -> float:
-        """Half-space weight power gamma = (n-2k) p/2 - n (zero at the
-        critical exponent, where the inequality is unweighted)."""
-        return (self.n - 2 * self.k) * self.p / 2.0 - self.n
-
     def multiplier(self) -> MultiplierSpec | None:
         if self.variant == "poincare":
             return MultiplierSpec.laplacian()
@@ -213,7 +209,7 @@ class InequalitySpec:
             return MultiplierSpec.gjms(self.k)
         if self.variant == "qk_sobolev":
             return MultiplierSpec.gjms_gap(self.k)
-        if self.variant in ("pk_deficit", "hardy_mazya"):
+        if self.variant == "hardy_mazya":
             return MultiplierSpec.gjms(self.k).minus(self.gap_constant)
         if self.variant == "h5_biharmonic":
             return MultiplierSpec(
@@ -268,9 +264,24 @@ def _cutoff(r, edge: float = 0.9, width: float = 0.1):
 _BUBBLE_CUTOFF = 0.9
 
 
-@dataclass(frozen=True)
-class BubbleFamily:
-    """Concentrating Sobolev trial family in ball coordinates.
+def _flat_bubble(r, eps: float, n: int, k: int):
+    # bubble minus its tangent parabola at the cutoff radius: the
+    # profile is C^{1,1}, nonnegative, and decreasing on [0, R]
+    m = n - 2 * k
+    R = _BUBBLE_CUTOFF
+    e2 = eps**2
+    a = (e2 + R * R) ** (-m / 2.0)
+    b = -(m / 2.0) * (e2 + R * R) ** (-m / 2.0 - 1.0)
+    r = np.asarray(r, dtype=float)
+    w0 = (e2 + r * r) ** (-m / 2.0)
+    inside = w0 - (a + b * (r * r - R * R))
+    return eps ** (m / 2.0) * np.where(r < R, inside, 0.0)
+
+
+def bubble_family(
+    eps: float, n: int, k: int, grid: Grid | None = None
+) -> RadialFunction:
+    """Concentrating Sobolev trial family as a hyperbolic radial function.
 
     The flat-side profile is the standard bubble
     (eps/(eps^2+r^2))^((n-2k)/2) truncated by subtracting its tangent
@@ -278,48 +289,20 @@ class BubbleFamily:
     A multiplicative cutoff would inject its own derivatives into the
     higher-order Rayleigh quotient and swamp the sharp constant when
     n - 2k is small; the matched truncation costs only O(eps^(n-2k)),
-    which two-point extrapolation in eps then removes.  profile() pulls
-    the result back to a hyperbolic radial function via r = tanh(rho/2)
+    which two-point extrapolation in eps then removes.  The result is
+    pulled back to a hyperbolic radial function via r = tanh(rho/2)
     with the conformal weight ((1-r^2)/2)^((n-2k)/2), under which the
     critical norm and the leading quadratic form are exactly Euclidean.
     """
-
-    epsilon: float
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ValueError("need epsilon > 0")
-        if not 1 <= self.k < self.n / 2.0:
-            raise ValueError("need 1 <= k < n/2")
-
-    def euclidean_profile(self, r):
-        # bubble minus its tangent parabola at the cutoff radius: the
-        # profile is C^{1,1}, nonnegative, and decreasing on [0, R]
-        m = self.n - 2 * self.k
-        R = _BUBBLE_CUTOFF
-        e2 = self.epsilon**2
-        a = (e2 + R * R) ** (-m / 2.0)
-        b = -(m / 2.0) * (e2 + R * R) ** (-m / 2.0 - 1.0)
-        r = np.asarray(r, dtype=float)
-        w0 = (e2 + r * r) ** (-m / 2.0)
-        inside = w0 - (a + b * (r * r - R * R))
-        return self.epsilon ** (m / 2.0) * np.where(r < R, inside, 0.0)
-
-    def profile(self, grid: Grid | None = None) -> RadialFunction:
-        if grid is None:
-            grid = make_radial_grid(rho_max=3.0, num_nodes=768)
-        r = np.tanh(0.5 * grid.nodes)
-        conf = (0.5 * (1.0 - r**2)) ** ((self.n - 2 * self.k) / 2.0)
-        return RadialFunction(grid, conf * self.euclidean_profile(r), self.n)
-
-
-def bubble_family(
-    eps: float, n: int, k: int, grid: Grid | None = None
-) -> RadialFunction:
-    """Sobolev-type bubble as a hyperbolic radial function."""
-    return BubbleFamily(eps, n, k).profile(grid)
+    if eps <= 0.0:
+        raise ValueError("need epsilon > 0")
+    if not 1 <= k < n / 2.0:
+        raise ValueError("need 1 <= k < n/2")
+    if grid is None:
+        grid = make_radial_grid(rho_max=3.0, num_nodes=768)
+    r = np.tanh(0.5 * grid.nodes)
+    conf = (0.5 * (1.0 - r**2)) ** ((n - 2 * k) / 2.0)
+    return RadialFunction(grid, conf * _flat_bubble(r, eps, n, k), n)
 
 
 def hls_trial_family(
@@ -399,25 +382,6 @@ def deficit(
     else:
         lhs = quadratic_form(u.values, u.grid, u.n, mult, sgrid, tail_tol=tail_tol)
     return DeficitReport.build(lhs, rhs, c)
-
-
-def halfspace_deficit(
-    u_ball: RadialFunction,
-    spec: InequalitySpec,
-    sgrid: Grid | None = None,
-    tail_tol: float | None = 1e-5,
-) -> DeficitReport:
-    """The half-space Hardy form, evaluated through its ball equivalent.
-
-    Under v = x1^(n/2-k) u the half-space left side becomes the gap
-    form (P_k minus its bottom constant) of the ball profile, and the
-    weighted norm with exponent gamma = (n-2k) p/2 - n becomes the
-    unweighted hyperbolic p-norm, so the numbers are by construction
-    those of the 'pk_deficit' variant.
-    """
-    if spec.variant != "hardy_mazya":
-        raise ValueError("halfspace_deficit expects the 'hardy_mazya' variant")
-    return deficit(u_ball, spec, sgrid=sgrid, tail_tol=tail_tol)
 
 
 def _hls_2f1(lam: float, n: int, w, ratio):
@@ -834,6 +798,19 @@ class DualityChainReport:
     chained_constant: float
 
 
+@lru_cache(maxsize=None)
+def _qk_bound_constant(num_nodes: int) -> float:
+    """Fitted A in Q_k^-1 kernel <= A sinh(rho/2)^(2k-n), n = 5, k = 2.
+
+    The largest kernel * sinh(rho/2)^(n-2k) over the nodes of the
+    rho_max = 10 grid with num_nodes nodes, the kernel by the
+    convolution route.
+    """
+    grid = make_radial_grid(rho_max=10.0, num_nodes=num_nodes)
+    kern = qk_inverse_kernel(grid, 5, 2, route="convolution")
+    return float(np.max(kern * np.sinh(0.5 * grid.nodes)))
+
+
 def duality_chain_check() -> DualityChainReport:
     """End-to-end bound ||f||_q^2 <= A C ||f||_{Q_k}^2, q = 2n/(n-2k).
 
@@ -843,13 +820,10 @@ def duality_chain_check() -> DualityChainReport:
     lam = n - 2k; Cauchy-Schwarz in the Q_k inner product plus the
     bilinear bound chains them.  All three numbers are computed
     independently; the report carries both sides of the inequality.
+    A is 2^(n-2k) times the 512-node fit of ``_qk_bound_constant``.
     """
-    from hypverify.kernels import qk_inverse_kernel
-
     n, k = 5, 2
-    kgrid = make_radial_grid(rho_max=10.0, num_nodes=512)
-    kern = qk_inverse_kernel(kgrid, n, k, route="convolution")
-    A = float(np.max(kern * (2.0 * np.sinh(0.5 * kgrid.nodes)) ** (n - 2 * k)))
+    A = 2.0 ** (n - 2 * k) * _qk_bound_constant(512)
     spec = InequalitySpec("qk_sobolev", n=n, k=k)
     f = bubble_family(0.2, n, k)
     form = quadratic_form(

@@ -90,8 +90,8 @@ _GAUSS_SEAM = {1: 0.0, 2: 0.5, 3: 1.0, 4: 1.3}
 _GAUSS_ORDER = 48
 
 
-def _gaussian_ladder(m: int, t: float, r: np.ndarray) -> np.ndarray:
-    # L^m e^(-r^2/4t) at r > 0
+def _gaussian_ladder(m: int, t: float, r: np.ndarray, lift=0.0) -> np.ndarray:
+    # L^m e^(-r^2/4t) at r > 0, times e^lift
     kappa = 0.25 / t
     near = r < _GAUSS_SEAM.get(m, 1.6)
     out = np.empty_like(r)
@@ -100,7 +100,7 @@ def _gaussian_ladder(m: int, t: float, r: np.ndarray) -> np.ndarray:
         series = ladder_taylor(m, _GAUSS_ORDER)
         coefs = sum(kappa**q * np.array(a, dtype=float) for q, a in enumerate(series))
         out[near] = np.polyval(coefs[::-1], r[near] ** 2)
-    out *= np.exp(-(r**2) / (4.0 * t))
+    out *= np.exp(lift - r**2 / (4.0 * t))
     return out
 
 
@@ -145,27 +145,45 @@ def heat_kernel(t: float, rho, n: int):
     log_bound = n * np.log(2.0 + r + t + 1.0 / t) - (
         gap * t + 0.5 * (n - 1) * r + r**2 / (4.0 * t)
     )
-    return pref * _weyl_rows(
-        lambda x, _: _gaussian_ladder(m + 1, t, x), r, log_sigma, 1.0, log_bound
+    # the integrand ~ e^(-(m+1) r - r^2/4t).  Only its Gaussian factor can
+    # take it out of the float range while the kernel is in it, so no row
+    # is scaled by more than that factor's drop rho^2/4t at its own rho:
+    # the scaled Gaussian stays <= 1 and cannot overflow
+    reach = np.minimum(r, _UNSCALED / (m + 1)) + r**2 / (4.0 * t * (m + 1))
+    return _weyl_rows(
+        lambda x, shift: _gaussian_ladder(m + 1, t, x, (m + 1) * shift),
+        r, pref, m + 1, reach, log_sigma, 1.0, log_bound,
     )
 
 
 # A sigma window past e^350 would take sigma^2 out of the float range.
 _LOG_SIGMA_MAX = 350.0
 _LOG_TINY = math.log(np.finfo(float).tiny)
+# The even-n Weyl integrands decay like e^(-rate r) and would underflow
+# while the kernel is still a normal float.  A row whose integrand starts
+# below e^(-300) is scaled up to it, and its value scaled back down.
+_UNSCALED = 300.0
 
 
-def _weyl_rows(fn, rho: np.ndarray, log_sigma, scale: float, log_bound):
-    """``_weyl_half_integral`` at every rho, on one window for all rows.
+def _weyl_rows(fn, rho: np.ndarray, pref: float, rate: int, reach, log_sigma,
+               scale: float, log_bound):
+    """pref times ``_weyl_half_integral`` at every rho, on one window for all rows.
 
-    Row i asks for sigma_max = (e^log_sigma[i] + 10) * scale, and the
-    window is the largest of these.  A row whose window would leave the
-    float range returns 0 when log_bound[i], an upper bound on the log of
-    its value, is below the normal range, and sizes no window; any other
-    such row raises ValueError.
+    The integrand of row i is about e^(-rate reach[i]) at r = rho[i].
+    Past rate reach = 300 it is scaled by e^(rate shift), shift =
+    reach - 300/rate, and the row's value multiplied by e^(-rate shift);
+    fn(r, shift) returns the scaled integrand.  Row i asks for sigma_max
+    = (e^log_sigma[i] + 10) * scale, and the window is the largest of
+    these.  A row whose window would leave the float range returns 0 when
+    log_bound[i], an upper bound on the log of its value, is below the
+    normal range, and sizes no window; any other such row raises
+    ValueError.
     """
     shape = rho.shape
-    rho, log_sigma, log_bound = (np.atleast_1d(a).ravel() for a in (rho, log_sigma, log_bound))
+    rho, reach, log_sigma, log_bound = (
+        np.atleast_1d(a).ravel() for a in (rho, reach, log_sigma, log_bound)
+    )
+    shift = np.maximum(reach - _UNSCALED / rate, 0.0)
     far = log_sigma + math.log(scale) > _LOG_SIGMA_MAX
     if np.any(log_bound[far] > _LOG_TINY):
         raise ValueError("rho or t too large: the half-integral's window leaves the float range")
@@ -173,16 +191,17 @@ def _weyl_rows(fn, rho: np.ndarray, log_sigma, scale: float, log_bound):
     near = ~far
     if np.any(near):
         sigma_max = (math.exp(float(np.max(log_sigma[near]))) + 10.0) * scale
-        out[near] = _weyl_half_integral(fn, rho[near], sigma_max)
+        out[near] = _weyl_half_integral(fn, rho[near], shift[near], sigma_max)
+    out = pref * out * np.exp(-rate * shift)
     return out.reshape(shape) if shape else float(out[0])
 
 
-def _weyl_half_integral(fn, rho: np.ndarray, sigma_max: float) -> np.ndarray:
+def _weyl_half_integral(fn, rho: np.ndarray, shift: np.ndarray, sigma_max: float) -> np.ndarray:
     """2 int_0^sigma_max fn(r(sigma)) d sigma, r = arccosh(cosh rho + sigma^2).
 
     This is int_rho^inf fn(r) sinh(r) (cosh r - cosh rho)^(-1/2) dr with
     the square-root endpoint removed, at each entry of the 1-d rho.  fn
-    is called as fn(r, rho) with one row of r per rho.
+    is called as fn(r, shift) with one row of r, and its shift, per rho.
     Callers size sigma_max so the truncated tail is negligible relative
     to the result at the largest rho requested; the panel count grows
     with the window so the per-panel ratio stays resolvable.
@@ -212,7 +231,7 @@ def _weyl_half_integral(fn, rho: np.ndarray, sigma_max: float) -> np.ndarray:
         r = np.log1p(2.0 * xx)
         small = xx[~big]
         r[~big] = np.log1p(small + np.sqrt(small * (small + 2.0)))
-    return 2.0 * (fn(r, rho[:, None]) @ wts)
+    return 2.0 * (fn(r, shift[:, None]) @ wts)
 
 
 # -- limiting Green kernel ---------------------------------------------
@@ -241,25 +260,14 @@ def limiting_green_kernel(rho, n: int):
     # that decay, with room for its constant
     log_bound = n * np.log(2.0 + r) - 0.5 * (n - 1) * r
     pref = 1.0 / (math.sqrt(2.0) * math.pi * (2.0 * math.pi) ** m)
-    w = _weyl_rows(
-        lambda x, rows: _green_integrand(m, x, rows), r, 0.5 * r, scale, log_bound
+    return _weyl_rows(
+        lambda x, shift: _green_integrand(m, x, shift),
+        r, pref, m + 1, r, 0.5 * r, scale, log_bound,
     )
-    return pref * w * np.exp(-(m + 1) * _green_shift(m, r))
 
 
-# The even-n Weyl integrand decays like e^(-(m+1) r) and would underflow
-# while the Green kernel is still a normal float.  A row past
-# (m+1) rho = 300 has it scaled by e^((m+1) shift), shift = rho - 300/(m+1),
-# and the kernel multiplies that back out; nearer rows are not scaled.
-_GREEN_UNSCALED = 300.0
-
-
-def _green_shift(m: int, rho):
-    return np.maximum(rho - _GREEN_UNSCALED / (m + 1), 0.0)
-
-
-def _green_integrand(m: int, r, rho):
-    """0.5 L^m (1/sinh) at r, times e^((m+1) shift) of its row's rho.
+def _green_integrand(m: int, r, shift):
+    """0.5 L^m (1/sinh) at r, which is ~ e^(-(m+1) r), times e^((m+1) shift).
 
     Every ladder term carries the factor 1/sinh^(m+1) = x^(m+1),
     x = 2 e^(-r) / (1 - e^(-2r)).  The rest is summed first and the
@@ -269,7 +277,7 @@ def _green_integrand(m: int, r, rho):
     up = LaurentElement({(m + 1, 0): 1})
     # at kappa = 0 only the q = 0 terms of the ladder count
     val = evaluate_rows([[(0.5, e * up) for (q, _), e in ladder(1, m, -1) if q == 0]], r)[0]
-    x = np.exp(_green_shift(m, rho) - r) * np.divide(-2.0, np.expm1(-2.0 * r))
+    x = np.exp(shift - r) * np.divide(-2.0, np.expm1(-2.0 * r))
     for _ in range(m + 1):
         val *= x
     return val

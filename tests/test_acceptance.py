@@ -26,7 +26,6 @@ from hypverify.inequalities import (
     convolution_bound_check,
     deficit,
     estimate_best_constant,
-    halfspace_deficit,
     hls_bilinear,
     hls_constant,
     hls_trial_family,
@@ -261,11 +260,7 @@ def test_criterion_07_sharpness_probe(bubble52, sgrid_bubble):
             bubble52, InequalitySpec("qk_sobolev", n=5, k=2),
             sgrid=sgrid_bubble, tail_tol=None,
         ),
-        "pk_deficit": deficit(
-            bubble52, InequalitySpec("pk_deficit", n=5, k=2, p=subcrit),
-            sgrid=sgrid_bubble, tail_tol=None,
-        ),
-        "hardy_mazya": halfspace_deficit(
+        "hardy_mazya": deficit(
             bubble52, InequalitySpec("hardy_mazya", n=5, k=2, p=subcrit),
             sgrid=sgrid_bubble, tail_tol=None,
         ),

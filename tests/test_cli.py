@@ -166,11 +166,11 @@ class TestVerifyReports:
         code = main(["verify", "--suite", "all", "--format", "json",
                      "--out", str(out)])
         assert code == 1
-        assert "0/50 checks passed" in capsys.readouterr().out
+        assert "0/48 checks passed" in capsys.readouterr().out
         declared = {row.check_id: row for c in table(RunConfig()) for row in c.rows}
         rows = json.loads(out.read_text())["rows"]
         ids = [r["check_id"] for r in rows]
-        assert len(set(ids)) == len(ids) == 50
+        assert len(set(ids)) == len(ids) == 48
         assert ids == sorted(declared)
         for r in rows:
             want = declared[r["check_id"]]
@@ -271,6 +271,24 @@ class TestTabulate:
             rows = list(csv.DictReader(fh))
         assert rows[0]["reference"] == "" and rows[0]["rel_err"] == ""
         assert math.isfinite(float(rows[0]["value"]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_resolvent_runs_with_its_default_shift(self, tmp_path, n):
+        # the default lam0 = 0 lies above the spectral bottom -(n-1)^2/4
+        # of every n; odd n have a closed form to compare with
+        out = tmp_path / "r.csv"
+        code = main(["tabulate", "--kernel", "resolvent", "--n", str(n),
+                     "--rho", "0.1,1,5", "--out", str(out)])
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for r in rows:
+            assert float(r["value"]) > 0.0
+            if n % 2:
+                assert float(r["rel_err"]) < 1e-8
+            else:
+                assert r["reference"] == ""
 
     def test_product_requires_dimension_five(self, tmp_path, capsys):
         code = main(["tabulate", "--kernel", "product-resolvent", "--n", "3",

@@ -1,7 +1,9 @@
 """Static hygiene of the sources.
 
-No module imports a name it never uses, and no private module-level
-name of the package goes unreferenced.
+No module imports a name it never uses, no private module-level name of
+the package goes unreferenced, and every public function, class and
+method is either reached from the library or the benchmark, or listed as
+user-facing API.
 """
 
 import ast
@@ -11,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hypverify").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 # the package __init__ imports names only to re-export them
 FILES = sorted(
     p for p in [*SOURCES, *(ROOT / "tests").glob("*.py")] if p.name != "__init__.py"
@@ -54,12 +57,11 @@ def _private_definitions(tree: ast.Module):
                     yield target.id, node
 
 
-def orphaned_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level names starting with one underscore that no code refers
-    to outside their own definition, over all the given modules."""
-    trees = {name: ast.parse(src) for name, src in sources.items()}
-    refs = []  # (referenced name, node)
-    for tree in trees.values():
+def _references(trees) -> list:
+    """(referenced name, node) for every Name load, attribute and
+    ``from ... import`` name in the given trees."""
+    refs = []
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 refs.append((node.id, node))
@@ -67,6 +69,14 @@ def orphaned_private_names(sources: dict[str, str]) -> list[str]:
                 refs.append((node.attr, node))
             elif isinstance(node, ast.ImportFrom):
                 refs.extend((alias.name, node) for alias in node.names)
+    return refs
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level names starting with one underscore that no code refers
+    to outside their own definition, over all the given modules."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    refs = _references(trees.values())
     out = []
     for module, tree in trees.items():
         for name, definition in _private_definitions(tree):
@@ -89,3 +99,61 @@ def test_checker_flags_an_orphaned_private_name():
 
 def test_no_orphaned_private_names():
     assert orphaned_private_names({p.name: p.read_text() for p in SOURCES}) == []
+
+
+# Public names that nothing in the library or the benchmark calls, kept
+# on purpose as API for users of the package.
+USER_API = [
+    "geometry.py: HalfSpacePoint.height",  # the x1 coordinate, by its name
+    "geometry.py: halfspace_to_ball",  # inverse of ball_to_halfspace
+    "geometry.py: volume_density",  # the sinh^(n-1) factor of the volume
+    "exact.py: LaurentElement.coefficient",  # read one exact coefficient
+    "kernels.py: frac_resolvent_h3",  # the Bessel-family kernel on H^3
+    "kernels.py: fractional_green_h3",  # and its zero-shift limit
+    "specialfn.py: harish_chandra_c",  # the c-function itself
+]
+
+
+def _public_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unreferenced_public_names(library: dict[str, str], others: list[str]) -> list[str]:
+    """Public functions, classes and methods of the library modules that no
+    library module (outside their own definition) and none of the other
+    sources refer to.  A method counts as referenced wherever an
+    attribute of its name is."""
+    trees = {name: ast.parse(src) for name, src in library.items()}
+    refs = _references([*trees.values(), *(ast.parse(src) for src in others)])
+    out = []
+    for module, tree in trees.items():
+        for name, definition in _public_definitions(tree):
+            short = name.rsplit(".", 1)[-1]
+            inside = {id(n) for n in ast.walk(definition)}
+            if not any(ref == short and id(node) not in inside for ref, node in refs):
+                out.append(f"{module}: {name}")
+    return sorted(out)
+
+
+def test_checker_flags_an_unreferenced_public_name():
+    library = {
+        "a.py": "def f():\n    return f()\ndef g():\n    return 0\n"
+        "class C:\n    def m(self):\n        return self.n()\n"
+        "    def n(self):\n        return 0\n",
+        "b.py": "from a import g\n",
+    }
+    assert unreferenced_public_names(library, ["x.C()\n"]) == ["a.py: C.m", "a.py: f"]
+    assert unreferenced_public_names(library, ["x.f(C().m())\n"]) == []
+
+
+def test_public_names_are_reached_or_user_api():
+    # __init__.py only re-exports, and the tests do not count as callers
+    library = {p.name: p.read_text() for p in SOURCES if p.name != "__init__.py"}
+    others = [p.read_text() for p in BENCHMARK]
+    assert unreferenced_public_names(library, others) == sorted(USER_API)

@@ -6,19 +6,20 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import hyp2f1, roots_legendre
 
+from hypverify import cli, kernels
 from hypverify.inequalities import (
-    BubbleFamily,
     _BUBBLE_CUTOFF,
     InequalitySpec,
+    _flat_bubble,
     _hls_2f1,
     _hls_angular,
+    _qk_bound_constant,
     biharmonic_hardy_identity_check,
     bubble_family,
     convolution_bound_check,
     deficit,
     duality_chain_check,
     estimate_best_constant,
-    halfspace_deficit,
     hls_bilinear,
     hls_constant,
     hls_trial_family,
@@ -112,9 +113,9 @@ class TestInequalitySpec:
         with pytest.raises(ValueError):
             InequalitySpec("qk_sobolev", n=5, k=3)
         with pytest.raises(ValueError):
-            InequalitySpec("pk_deficit", n=5, k=2, p=12.0)  # above critical
+            InequalitySpec("hardy_mazya", n=5, k=2, p=12.0)  # above critical
         with pytest.raises(ValueError):
-            InequalitySpec("pk_deficit", n=5, k=2, p=2.0)  # p must exceed 2
+            InequalitySpec("hardy_mazya", n=5, k=2, p=2.0)  # p must exceed 2
         with pytest.raises(ValueError):
             InequalitySpec("hls", n=3)  # lambda required
         with pytest.raises(ValueError):
@@ -141,12 +142,6 @@ class TestInequalitySpec:
         s = InequalitySpec("poincare_pk", n=5, k=2)
         assert s.gap_constant == (1.0 / 4.0) * (9.0 / 4.0)
 
-    def test_weight_exponent_vanishes_at_critical(self):
-        s = InequalitySpec("hardy_mazya", n=5, k=2)
-        assert abs(s.weight_exponent) < 1e-14
-        s2 = InequalitySpec("hardy_mazya", n=5, k=2, p=10.0 / 3.0)
-        assert abs(s2.weight_exponent - (10.0 / 6.0 - 5.0)) < 1e-14
-
 
 class TestBubbleFamily:
     def test_positive_and_decreasing(self):
@@ -168,13 +163,12 @@ class TestBubbleFamily:
         n, k = 5, 2
         u = bubble_family(eps, n, k)
         hyp = lp_norm(u.values, u.grid, n, 10.0)
-        fam = BubbleFamily(eps, n, k)
         x, w = roots_legendre(400)
         r = 0.5 * _BUBBLE_CUTOFF * (x + 1.0)
         wr = 0.5 * _BUBBLE_CUTOFF * w
         euc = (
             sphere_area(n)
-            * np.sum(np.abs(fam.euclidean_profile(r)) ** 10 * r ** (n - 1) * wr)
+            * np.sum(np.abs(_flat_bubble(r, eps, n, k)) ** 10 * r ** (n - 1) * wr)
         ) ** 0.1
         assert abs(hyp / euc - 1.0) < 1e-10
 
@@ -211,7 +205,6 @@ class TestDeficit:
         "variant,p",
         [
             ("qk_sobolev", None),
-            ("pk_deficit", 10.0 / 3.0),
             ("hardy_mazya", 10.0 / 3.0),
             ("sharp_sobolev", None),
             ("h5_biharmonic", None),
@@ -254,19 +247,6 @@ class TestDeficit:
 
 
 class TestHalfspace:
-    def test_equals_ball_deficit_exactly(self):
-        spec_h = InequalitySpec("hardy_mazya", n=5, k=2, p=10.0 / 3.0)
-        spec_b = InequalitySpec("pk_deficit", n=5, k=2, p=10.0 / 3.0)
-        u = bubble_family(0.3, 5, 2)
-        a = halfspace_deficit(u, spec_h, sgrid=SGRID_BUBBLE, tail_tol=None)
-        b = deficit(u, spec_b, sgrid=SGRID_BUBBLE, tail_tol=None)
-        assert a.lhs == b.lhs and a.rhs == b.rhs and a.deficit == b.deficit
-
-    def test_variant_required(self):
-        u = bubble_family(0.3, 5, 2)
-        with pytest.raises(ValueError):
-            halfspace_deficit(u, InequalitySpec("pk_deficit", n=5, k=2))
-
     def test_direct_halfspace_quadrature_n3(self):
         # independent oracle: u = x1^{-1/2} v(rho) on the upper half
         # space, cosh rho = (x1^2 + 1 + s^2)/(2 x1); the raw integrand
@@ -277,7 +257,7 @@ class TestHalfspace:
 
         u3 = bubble_family(0.2, 3, 1)
         spec = InequalitySpec("hardy_mazya", n=3, k=1, p=3.0)
-        rep = halfspace_deficit(u3, spec, sgrid=SGRID_BUBBLE, tail_tol=None)
+        rep = deficit(u3, spec, sgrid=SGRID_BUBBLE, tail_tol=None)
 
         sp = CubicSpline(u3.grid.nodes, u3.values)
         dsp = sp.derivative()
@@ -676,6 +656,30 @@ class TestDualityChain:
         assert rep.norm_sq <= rep.chained_constant * rep.form
         # the chain is lossy but not wildly so
         assert rep.chained_constant * rep.form / rep.norm_sq < 10.0
+
+    def test_stability_row_and_chain_share_one_convolution(self, monkeypatch):
+        # the 512-node fit serves both the stability row and the chain,
+        # so the two run the convolution route at 256 and 512 nodes only
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].size)
+            return convolve_with_kernel(*args, **kwargs)
+
+        _qk_bound_constant.cache_clear()
+        monkeypatch.setattr(kernels, "convolve_with_kernel", counting)
+        fine, coarse = cli._qk_bound_stable(cli.RunConfig(), None)
+        rep = duality_chain_check()
+        assert calls == [256, 512]
+        assert rep.kernel_constant == 2.0 * fine
+
+    def test_memoised_constant_equals_a_fresh_fit(self):
+        _qk_bound_constant.cache_clear()
+        got = _qk_bound_constant(256)
+        grid = make_radial_grid(rho_max=10.0, num_nodes=256)
+        kern = kernels.qk_inverse_kernel(grid, 5, 2, route="convolution")
+        assert got == float(np.max(kern * np.sinh(0.5 * grid.nodes)))
+        assert _qk_bound_constant.cache_info().currsize == 1
 
 
 class TestHolderInterpolation:

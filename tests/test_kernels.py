@@ -336,6 +336,36 @@ class TestLargeRho:
         assert rho[nz][-1] > 180.0
         assert np.max(np.abs(green[nz] / ref[nz] - 1.0)) < 1e-10
 
+    def test_even_heat_matches_mpmath_at_the_bottom_of_the_float_range(self):
+        # n = 4, t = 10: the Weyl integrand L^2 e^(-r^2/40) ~ e^(-2r - r^2/40)
+        # leaves the normal range near rho = 134, the kernel only past 138.
+        # The reference is the same half-integral in 40 digits, in
+        # r = rho + u^2 and by Gauss-Legendre on dyadic panels in u
+        mp = pytest.importorskip("mpmath")
+        t = 10.0
+        rho = np.arange(128.0, 140.0, 2.0)
+        got = heat_kernel(t, rho, 4)
+        with mp.workdps(40):
+            k = 1 / (4 * mp.mpf(t))
+            pref = mp.exp(-mp.mpf(9) / 4 * t) / (
+                2 * mp.pi * mp.sqrt(2) * mp.pi * mp.sqrt(4 * mp.pi * t)
+            )
+            for r0, g in zip(rho, got):
+                r0 = mp.mpf(r0)
+
+                def f(u):
+                    r = r0 + u * u
+                    # L^2 e^(-k r^2), L = -(1/sinh) d/dr
+                    l2 = 2 * k * mp.exp(-k * r * r) * (
+                        r * mp.coth(r) + 2 * k * r * r - 1) / mp.sinh(r) ** 2
+                    return 2 * u * l2 * mp.sinh(r) / mp.sqrt(
+                        2 * mp.sinh((r + r0) / 2) * mp.sinh(u * u / 2))
+
+                w = 1 / mp.sqrt(2 * k * r0 + 1)
+                edges = [0] + [w * 2 ** (j / mp.mpf(4)) for j in range(-24, 32)]
+                want = pref * mp.quad(f, edges, method="gauss-legendre")
+                assert abs(g / want - 1) < 1e-9
+
     def test_even_kernel_past_the_float_range_but_not_below_it_raises(self):
         # in dimension 2 the Green kernel at rho = 700 is ~ e^(-350), still
         # a normal float, but its sigma window is not
