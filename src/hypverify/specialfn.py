@@ -5,8 +5,8 @@ and the spherical function phi_lambda solves
 
     -Delta phi = ((n-1)^2 + lambda^2)/4 * phi,   phi(0) = 1.
 
-Two routes evaluate phi.  ``spherical_function`` (every n) and
-``phi_matrix`` in even n and odd n > 9 use the integral representation
+Three routes evaluate phi.  ``spherical_function`` (every n) and
+``phi_matrix`` in even n > 8 and odd n > 9 use the integral representation
 
     phi_lambda(rho) = C_n (sinh rho)^(2-n)
                       int_0^rho cos(lambda s / 2) (cosh rho - cosh s)^((n-3)/2) ds
@@ -29,9 +29,18 @@ a finite sum of trigonometric terms with exact rational coefficients
 (built by ``exact.ladder``), and the Gauss series of
 2F1((n-1)/4 + i lambda/4, (n-1)/4 - i lambda/4; n/2; -sinh^2 rho)
 covers the corner near rho = 0 where those terms cancel.  That
-cancellation grows with n, so odd n > 9 keep the quadrature.  The
-quadrature of ``spherical_function`` serves as the independent oracle
-for the closed form.
+cancellation grows with n, so odd n > 9 keep the quadrature.
+
+In even n from 2 to 8, ``phi_matrix`` uses the Harish-Chandra expansion
+phi = c(lambda) Phi_lambda + c(-lambda) Phi_(-lambda) (Koornwinder 1984),
+a power series in e^(-2 rho) whose cost per entry does not grow with
+lambda * rho: each chunk of lambda is one real matrix product of its
+coefficients with the powers of e^(-2 rho).  The Gauss series above
+covers the same corner near the origin, and the quadrature the band of
+small rho left between them, where the two Harish-Chandra terms grow
+like rho^(2-n) and cancel.  The quadrature of ``spherical_function``
+serves as the independent oracle for both the closed form and the
+expansion.
 
 The density |c(lambda)|^(-2) of the inversion measure comes from the
 gamma-quotient form of c; a self-contained complex log-gamma keeps the
@@ -45,7 +54,7 @@ import math
 from collections import OrderedDict
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import loggamma, roots_jacobi, roots_legendre
 
 from hypverify.exact import evaluate_rows, ladder
 from hypverify.radial import _theta_graded, sphere_area
@@ -162,6 +171,8 @@ def _mehler_constant(n: int) -> float:
 
 
 _JACOBI_RULES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+# doubles per temporary of the cosine sums in ``_jacobi_entries``
+_JACOBI_BLOCK = 1 << 15
 
 
 def _jacobi_rule(num: int, n: int):
@@ -213,6 +224,29 @@ def _phi_envelope(rho: np.ndarray, n: int, num: int):
     return s, env
 
 
+def _jacobi_entries(lam: np.ndarray, rho: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """phi at the pairs (lam[e], rho[cols[e]]), rho > 0, by the quadrature.
+
+    The node count follows the largest phase lam * rho among the pairs.
+    The envelope is built once per distinct column, and the cosine sums
+    run over slices of the pairs, so temporaries stay near
+    ``_JACOBI_BLOCK`` doubles whatever the number of pairs.
+    """
+    out = np.empty(lam.size)
+    if not lam.size:
+        return out
+    used, inv = np.unique(cols, return_inverse=True)
+    num = _node_count(float(np.max(np.abs(lam) * rho[cols])), 1.0)
+    s, env = _phi_envelope(rho[used], n, num)
+    step = max(1, _JACOBI_BLOCK // num)
+    for i in range(0, lam.size, step):
+        j = inv[i : i + step]
+        out[i : i + step] = np.einsum(
+            "mk,mk->m", np.cos(0.5 * lam[i : i + step, None] * s[j]), env[j]
+        )
+    return out
+
+
 def _phi_rows(lam: np.ndarray, rho: np.ndarray, n: int, num: int) -> np.ndarray:
     out = np.empty((lam.size, rho.size))
     pos = rho > 0.0
@@ -239,14 +273,9 @@ def spherical_function(lam, rho, n: int):
     R = np.atleast_1d(rho_b).ravel()
     if np.any(R < 0.0):
         raise ValueError("rho must be nonnegative")
-    num_nodes = _node_count(float(np.max(np.abs(L) * R, initial=0.0)), 1.0)
     vals = np.ones(R.size)
-    pos = R > 0.0
-    if np.any(pos):
-        s, env = _phi_envelope(R[pos], n, num_nodes)
-        vals[pos] = np.einsum(
-            "mk,mk->m", np.cos(0.5 * L[pos][:, None] * s), env
-        )
+    pos = np.flatnonzero(R > 0.0)
+    vals[pos] = _jacobi_entries(L[pos], R, pos, n)
     return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
@@ -279,7 +308,8 @@ def _odd_radial_rows(rho: np.ndarray, n: int):
 
 
 # phi_matrix entries with rho^2 + (lam rho / 2)^2 below this take the Gauss
-# series: there the ladder terms cancel, while sinh^2 rho < 0.59 and
+# series (odd n <= 9, even n <= 8): there the ladder terms and the
+# Harish-Chandra terms cancel, while sinh^2 rho < 0.59 and
 # (lam sinh rho)^2 < 2.4 keep the series' term ratio below 0.7
 _SERIES_SEAM = 0.5
 
@@ -357,6 +387,132 @@ def _phi_rows_odd(lam: np.ndarray, rho: np.ndarray, n: int, radial_rows) -> np.n
     return out
 
 
+# Even n that phi_matrix takes by the Harish-Chandra series, each with its
+# rho seam: an entry outside the Gauss series takes the Harish-Chandra
+# series where rho >= _HC_MIN_RHO[n] and lam rho >= _HC_MIN_PHASE, and the
+# Jacobi quadrature elsewhere.  Against 40-digit mpmath hyp2f1, relative to
+# phi_0, the series loses most at small rho, where each of the two terms
+# c(+-lam) Phi_(+-lam) grows like rho^(2-n) while phi stays near 1.  At the
+# seam the worst of 100 random probes (lam rho log-uniform in [1e-4, 63])
+# is 2.9e-14, 1.1e-14, 1.5e-14, 8.3e-15 for n = 2, 4, 6, 8, where the
+# quadrature reaches 3.6e-14, 1.1e-14, 1.5e-14, 1.1e-14; one rho band
+# further in, the series reaches 1.1e-14 at n = 4 (rho = 0.5), 3.0e-14 at
+# n = 6 (rho = 0.72) and 3.4e-14 at n = 8 (rho = 1.05).  Small lam rho loses
+# nothing (see ``_hc_rows``): its seam, the smallest value probed, only
+# keeps the 1/lam of c(lam) far from overflow.
+_HC_MIN_RHO = {2: 0.1, 4: 0.6, 6: 1.0, 8: 1.5}
+_HC_MIN_PHASE = 1e-4
+# The series is summed to the first band size K whose tail bound is below
+# this, relative to its leading term 1.
+_HC_TAIL = 1e-17
+# Band sizes K: the columns of a band share its powers z^k, k < K.  At the
+# smallest seam, n = 2 at rho = 0.1, the tail bound needs K = 256.
+_HC_BAND_SIZES = 8 * 2 ** np.arange(8)
+
+
+def _hc_bands(rho: np.ndarray, n: int) -> list:
+    """Column bands of the Harish-Chandra series: the rho >= _HC_MIN_RHO[n].
+
+    Returns (cols, zk) pairs with zk[k, j] = z_j^k, z = e^(-2 rho), k < K,
+    K the smallest band size whose tail bound meets ``_HC_TAIL``.  The
+    coefficient ratio (rho0 + k)(rho0 + k - i mu)/((k + 1)(k + 1 - i mu))
+    is at most r_k = (rho0 + k)/(k + 1) * max(1, (rho0 + k)/(k + 1)) in
+    modulus for every mu, so |a_k| <= b_k = r_0 ... r_(k-1), and the tail
+    from K is at most b_K z^K / (1 - r_K z) once r_K z < 1 (r_k falls with
+    k).
+    """
+    r0 = 0.5 * (n - 1)
+    k = np.arange(_HC_BAND_SIZES[-1] + 1, dtype=float)
+    ratio = (r0 + k) / (k + 1.0)
+    bound = ratio * np.maximum(1.0, ratio)
+    log_b = np.concatenate([[0.0], np.cumsum(np.log(bound))])
+    cols = np.flatnonzero(rho >= _HC_MIN_RHO[n])
+    log_z = -2.0 * rho[cols]
+    sizes = _HC_BAND_SIZES[:, None]
+    rz = bound[sizes] * np.exp(log_z)
+    decay = rz < 1.0
+    tail = log_b[sizes] + sizes * log_z - np.log1p(-np.where(decay, rz, 0.0))
+    level = np.argmax(decay & (tail < math.log(_HC_TAIL)), axis=0)
+    bands = []
+    for i in np.unique(level):
+        band = cols[level == i]
+        powers = np.arange(_HC_BAND_SIZES[i])[:, None]
+        bands.append((band, np.exp(-2.0 * powers * rho[band][None, :])))
+    return bands
+
+
+def _hc_rows(lam: np.ndarray, rho: np.ndarray, n: int, bands: list) -> np.ndarray:
+    """phi[lam_i, rho_j] by the Harish-Chandra series, lam != 0, on the band columns.
+
+    phi = 2 Re[c(lam) Phi_lam(rho)] with
+    Phi_lam = e^((i mu - rho0) rho) 2F1(rho0, rho0 - i mu; 1 - i mu; z),
+    mu = lam/2, rho0 = (n-1)/2, z = e^(-2 rho), and the coefficients
+    a_0 = 1, a_k = a_(k-1) (rho0+k-1)(rho0+k-1-i mu)/(k (k-i mu)).  By
+    Legendre's duplication formula the gamma quotient of
+    ``harish_chandra_c`` is c = 2^(n-2) Gamma(n/2) Gamma(i mu)
+    / (sqrt(pi) Gamma(rho0 + i mu)) = -i (M/mu) e^(i delta) with
+    M e^(i delta) = 2^(n-2) Gamma(n/2) Gamma(1 + i mu)/(sqrt(pi) Gamma(rho0 + i mu)),
+    taken from ``scipy.special.loggamma`` (not ``_log_c``, whose error
+    would cancel against the Plancherel density).  Then
+
+        phi = (2M/mu) e^(-rho0 rho) (sin(theta) Re S + cos(theta) Im S),
+        theta = mu rho + delta,  S = sum_k a_k z^k.
+
+    As mu -> 0, delta, sin(theta) and Im a_k are O(mu) (every factor of
+    a_k has an imaginary part of the sign of rho0 - 1, so Im a_k is a sum
+    of like signs), and the pole 1/mu of c is divided out of a bracket
+    that is itself O(mu), not cancelled between c(lam) Phi_lam and
+    c(-lam) Phi_(-lam).  Columns not in a band are left unset.
+    """
+    r0 = 0.5 * (n - 1)
+    mu = 0.5 * np.abs(lam)[:, None]
+    g = loggamma(1.0 + 1j * mu) - loggamma(r0 + 1j * mu)
+    # log(2M/mu)
+    log_scale = (
+        (n - 1) * math.log(2.0) + math.lgamma(0.5 * n) - 0.5 * math.log(math.pi)
+        + g.real - np.log(mu)
+    )
+    size = max(zk.shape[0] for _, zk in bands)
+    k = np.arange(1, size)
+    x = r0 + k - 1.0
+    den = k * k + mu * mu
+    ratio = (x / k) * ((x * k + mu * mu) + 1j * ((r0 - 1.0) * mu)) / den
+    a = np.ones((mu.size, size), dtype=complex)
+    a[:, 1:] = np.cumprod(ratio, axis=1)
+    coef = np.concatenate([a.real, a.imag])
+    out = np.empty((mu.size, rho.size))
+    for cols, zk in bands:
+        S = coef[:, : zk.shape[0]] @ zk
+        r = rho[cols]
+        theta = mu * r + g.imag
+        scale = np.exp(log_scale - r0 * r)
+        out[:, cols] = scale * (np.sin(theta) * S[: mu.size] + np.cos(theta) * S[mu.size :])
+    return out
+
+
+def _phi_rows_even(lam: np.ndarray, rho: np.ndarray, n: int, bands: list) -> np.ndarray:
+    """Rows phi[lam_i, rho_j] for the even n of ``_HC_MIN_RHO``.
+
+    Three routes split the entries: the Gauss series where
+    rho^2 + (lam rho/2)^2 < 1/2 (rho = 0 included), the Harish-Chandra
+    series where rho and lam rho reach their seams, and the Jacobi
+    quadrature on the rest, its node count set by the largest phase
+    among those entries.
+    """
+    phase = np.abs(lam)[:, None] * rho[None, :]
+    series = rho * rho + 0.25 * phase * phase < _SERIES_SEAM
+    hc = ~series & (phase >= _HC_MIN_PHASE) & (rho >= _HC_MIN_RHO[n])
+    out = np.empty((lam.size, rho.size))
+    rows = np.flatnonzero(hc.any(axis=1))
+    if rows.size:
+        out[rows] = _hc_rows(lam[rows], rho, n, bands)
+    rows, cols = np.nonzero(series)
+    out[rows, cols] = _gauss_series(lam[rows], rho[cols], n)
+    rows, cols = np.nonzero(~series & ~hc)
+    out[rows, cols] = _jacobi_entries(lam[rows], rho, cols, n)
+    return out
+
+
 _PHI_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _PHI_CACHE_MAX = 8
 _PHI_CHUNK = 64
@@ -368,9 +524,13 @@ def phi_matrix(lam, rho, n: int) -> np.ndarray:
     Odd 3 <= n <= 9 uses the exact closed form (``_odd_radial_rows``): two
     trigonometric evaluations per entry, with the Gauss series
     2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho) where
-    rho^2 + (lam rho / 2)^2 < 1/2.  Other n use the Jacobi quadrature of
-    ``spherical_function``, its size tracking each lambda chunk's
-    largest phase.  Work is chunked over lambda, and results are cached
+    rho^2 + (lam rho / 2)^2 < 1/2.  Even 2 <= n <= 8 uses the same Gauss
+    series there, the Harish-Chandra series (``_hc_rows``) where rho and
+    lam rho reach the seams of ``_HC_MIN_RHO`` and ``_HC_MIN_PHASE``, and
+    the Jacobi quadrature of ``spherical_function`` on the entries left,
+    with a node count from their own largest phase.  Other n use that
+    quadrature throughout, its size tracking each lambda chunk's largest
+    phase.  Work is chunked over lambda, and results are cached
     on the byte content of the two arrays (transform pipelines hit the
     same grids over and over).  The returned array is read-only; copy
     before mutating.  Non-finite lam or rho, and negative rho, raise
@@ -394,11 +554,15 @@ def phi_matrix(lam, rho, n: int) -> np.ndarray:
     odd = n % 2 == 1 and 3 <= n <= _CLOSED_FORM_MAX_N
     if odd:
         radial_rows = _odd_radial_rows(rho, n)
+    elif n in _HC_MIN_RHO:
+        bands = _hc_bands(rho, n)
     out = np.empty((lam.size, rho.size))
     for s in range(0, lam.size, _PHI_CHUNK):
         block = lam[s : s + _PHI_CHUNK]
         if odd:
             out[s : s + block.size] = _phi_rows_odd(block, rho, n, radial_rows)
+        elif n in _HC_MIN_RHO:
+            out[s : s + block.size] = _phi_rows_even(block, rho, n, bands)
         else:
             num = _node_count(float(np.max(np.abs(block))), rho_max)
             out[s : s + block.size] = _phi_rows(block, rho, n, num)

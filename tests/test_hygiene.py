@@ -1,9 +1,9 @@
 """Static hygiene of the sources.
 
 No module imports a name it never uses, no private module-level name of
-the package goes unreferenced, and every public function, class and
-method is either reached from the library or the benchmark, or listed as
-user-facing API.
+the package goes unreferenced, every public function, class and method
+is either reached from the library or the benchmark, or listed as
+user-facing API, and no test sets mpmath's global precision.
 """
 
 import ast
@@ -44,6 +44,42 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def mpmath_precision_assignments(source: str) -> list[str]:
+    """Assignments to an attribute named ``dps`` or ``prec`` (mpmath's
+    global precision, ``mp.dps`` or ``mp.mp.dps``).  Such a setting
+    outlives the test that makes it; ``mp.workdps`` restores it."""
+    tree = ast.parse(source)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Attribute) and target.attr in ("dps", "prec"):
+                out.append(f"{ast.unparse(target)} (line {node.lineno})")
+    return out
+
+
+def test_checker_flags_an_mpmath_precision_assignment():
+    source = (
+        "mp.mp.dps = 30\nmpmath.mp.prec += 10\nmp.dps: int = 20\n"
+        "with mp.workdps(30):\n    x = mp.mpf(1)\ndps = 15\n"
+    )
+    assert mpmath_precision_assignments(source) == [
+        "mp.mp.dps (line 1)",
+        "mpmath.mp.prec (line 2)",
+        "mp.dps (line 3)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("*.py")), ids=lambda p: p.name)
+def test_no_test_sets_mpmath_precision(path):
+    assert mpmath_precision_assignments(path.read_text()) == []
 
 
 def _private_definitions(tree: ast.Module):

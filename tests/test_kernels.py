@@ -223,16 +223,16 @@ class TestResolvent:
     @pytest.mark.parametrize("lam0", [0.5, 2.0])
     def test_h2_against_legendre_q(self, lam0):
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
         theta = math.sqrt(lam0 + 0.25) - 0.5
         rho = np.geomspace(1e-3, 8.0, 25)
         got = resolvent_kernel(lam0, rho, 2)
-        want = np.array(
-            [
-                float(mp.re(mp.legenq(mp.mpf(theta), 0, mp.cosh(mp.mpf(r)), type=3)))
-                for r in rho
-            ]
-        ) / (2.0 * math.pi)
+        with mp.workdps(30):
+            want = np.array(
+                [
+                    float(mp.re(mp.legenq(mp.mpf(theta), 0, mp.cosh(mp.mpf(r)), type=3)))
+                    for r in rho
+                ]
+            ) / (2.0 * math.pi)
         assert np.max(np.abs(got / want - 1.0)) < 1e-12
 
     def test_h2_log_offset_digamma(self):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypverify import specialfn
 from hypverify.radial import radial_laplacian
 from hypverify.specialfn import (
     harish_chandra_c,
@@ -232,14 +234,60 @@ class TestSphericalFunction:
         assert isinstance(out, float)
 
 
+def _probes() -> list:
+    # rho = 0, lam = 0, both sides of the Gauss-series seam
+    # rho^2 + (lam rho/2)^2 = 1/2, lam up to 1000 and rho up to 48
+    probes = [(0.0, 0.0), (7.0, 0.0), (1000.0, 0.0), (0.0, 1e-3), (0.0, 0.3),
+              (0.0, 0.7), (0.0, 0.72), (0.0, 3.0), (0.0, 48.0), (1000.0, 1e-3),
+              (1000.0, 1.0), (30.0, 48.0), (200.0, 12.0), (1000.0, 48.0)]
+    for rho in (0.05, 0.3, 0.6):
+        t = math.sqrt(0.5 - rho * rho)
+        probes += [(2.0 * t * f / rho, rho) for f in (0.999, 1.001)]
+    return probes
+
+
+def _assert_against_hypergeometric(probes, n, tol):
+    # phi = 2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho),
+    # each probe's error relative to phi_0
+    mp = pytest.importorskip("mpmath")
+
+    def exact(lam, rho):
+        with mp.workdps(30):
+            a = mp.mpf(n - 1) / 4
+            b = 1j * mp.mpf(lam) / 4
+            z = -mp.sinh(mp.mpf(rho)) ** 2
+            return float(mp.re(mp.hyp2f1(a + b, a - b, mp.mpf(n) / 2, z)))
+
+    for lam, rho in probes:
+        got = phi_matrix(np.array([lam]), np.array([rho]), n)[0, 0]
+        err = abs(got - exact(lam, rho)) / exact(0.0, rho)
+        assert err < tol, (lam, rho, float(err))
+
+
+def _assert_finite_and_bounded(lam, n):
+    # phi_matrix at rho = 1, 48, 800 (lam[0] = 0) raises no floating-point
+    # error and stays within |phi| <= phi_0
+    rho = np.array([1.0, 48.0, 800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            mat = phi_matrix(lam, rho, n)
+    assert np.all(np.isfinite(mat))
+    assert np.all(np.abs(mat) <= mat[0] * (1.0 + 1e-12))
+
+
 class TestPhiMatrix:
     def test_matches_elementwise(self):
+        # n = 4: phi_matrix takes the Gauss series, the Harish-Chandra series
+        # and the quadrature, spherical_function the quadrature alone; they
+        # agree to 8.6e-15 relative to phi_0
         lam = np.linspace(0.0, 30.0, 40)
         rho = np.linspace(0.01, 10.0, 35)
         mat = phi_matrix(lam, rho, 4)
         assert mat.shape == (40, 35)
         spot = spherical_function(lam[:, None], rho[None, :], 4)
-        assert np.allclose(mat, spot, rtol=1e-10, atol=1e-12)
+        phi0 = spherical_function(0.0, rho, 4)
+        assert np.max(np.abs(mat - spot) / phi0) < 2e-14
 
     def test_cache_returns_same_object(self):
         lam = np.linspace(0.0, 5.0, 8)
@@ -285,42 +333,54 @@ class TestPhiMatrix:
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 21])
     def test_odd_against_hypergeometric(self, n):
-        # phi = 2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho),
-        # probed at rho = 0, lam = 0, both sides of the series/ladder seam
-        # rho^2 + (lam rho/2)^2 = 1/2, lam up to 1000 and rho up to 48.
         # The quadrature of n > 9 would need 18 000 nodes at lam = 1000,
         # rho = 48 (15 s), so that probe is kept for the closed form only.
-        mp = pytest.importorskip("mpmath")
-
-        def exact(lam, rho):
-            with mp.workdps(30):
-                a = mp.mpf(n - 1) / 4
-                b = 1j * mp.mpf(lam) / 4
-                z = -mp.sinh(mp.mpf(rho)) ** 2
-                return float(mp.re(mp.hyp2f1(a + b, a - b, mp.mpf(n) / 2, z)))
-
-        probes = [(0.0, 0.0), (7.0, 0.0), (1000.0, 0.0), (0.0, 1e-3), (0.0, 0.3),
-                  (0.0, 0.7), (0.0, 0.72), (0.0, 3.0), (0.0, 48.0), (1000.0, 1e-3),
-                  (1000.0, 1.0), (30.0, 48.0), (200.0, 12.0)]
-        if n <= 9:
-            probes.append((1000.0, 48.0))
-        for rho in (0.05, 0.3, 0.6):
-            t = math.sqrt(0.5 - rho * rho)
-            probes += [(2.0 * t * f / rho, rho) for f in (0.999, 1.001)]
-        for lam, rho in probes:
-            got = phi_matrix(np.array([lam]), np.array([rho]), n)[0, 0]
-            err = abs(got - exact(lam, rho)) / exact(0.0, rho)
-            assert err < self.ODD_TOL[n], (lam, rho, float(err))
+        probes = _probes()
+        if n > 9:
+            probes.remove((1000.0, 48.0))
+        _assert_against_hypergeometric(probes, n, self.ODD_TOL[n])
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_odd_large_rho_finite(self, n):
         # sinh(800) overflows a double; the closed form never forms it
-        lam = np.array([0.0, 1.0, 40.0])
-        rho = np.array([1.0, 48.0, 800.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                mat = phi_matrix(lam, rho, n)
+        _assert_finite_and_bounded(np.array([0.0, 1.0, 40.0]), n)
+
+    # even n <= 8: phi_matrix takes the Harish-Chandra series outside the
+    # Gauss series where rho >= _HC_MIN_RHO[n] and lam rho >= _HC_MIN_PHASE,
+    # and the quadrature on the band left.  The worst probe below is
+    # 4.4e-14, 6.3e-15, 1.2e-14, 5.4e-14 for n = 2, 4, 6, 8, each on an
+    # entry the quadrature keeps (lam = 0 at rho = 48 for n = 2, lam = 1000
+    # at rho = 1 for n = 8); the Jacobi route reached 2.1e-12, 3.1e-14,
+    # 4.2e-14, 2.2e-13 on the same probes (without lam = 1000, rho = 48).
+    EVEN_TOL = {2: 1e-13, 4: 2e-14, 6: 3e-14, 8: 1e-13}
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_even_against_hypergeometric(self, n):
+        # the common probes plus both sides of the rho seam and of the
+        # lam rho seam
+        probes = _probes()
+        for f in (0.999, 1.001):
+            seam = specialfn._HC_MIN_RHO[n] * f
+            probes += [(lam, seam) for lam in (1e-3, 0.5, 5.0, 40.0)]
+            probes += [(specialfn._HC_MIN_PHASE * f / rho, rho) for rho in (2.0, 12.0)]
+        _assert_against_hypergeometric(probes, n, self.EVEN_TOL[n])
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_even_large_rho_finite(self, n):
+        # e^(-2 rho) and e^(-rho0 rho) underflow quietly; 1/lam stays finite
+        _assert_finite_and_bounded(np.array([0.0, 1e-3, 1.0, 40.0]), n)
+
+    def test_even_route_takes_c_from_its_own_gamma_quotient(self, monkeypatch):
+        # an error in _log_c would cancel between phi and the Plancherel
+        # density if the Harish-Chandra series shared it
+        def broken(lam, n):
+            raise AssertionError("_log_c called")
+
+        monkeypatch.setattr(specialfn, "_log_c", broken)
+        monkeypatch.setattr(specialfn, "_PHI_CACHE", OrderedDict())
+        lam = np.linspace(0.0, 30.0, 17)
+        rho = np.linspace(0.0, 12.0, 13)
+        mat = phi_matrix(lam, rho, 4)
         assert np.all(np.isfinite(mat))
-        phi0 = mat[0]
-        assert np.all(np.abs(mat) <= phi0 * (1.0 + 1e-12))
+        with pytest.raises(AssertionError):
+            plancherel_density(lam, 4)
