@@ -54,6 +54,7 @@ from hypverify.radial import (
     _GRID_ORDER,
     Grid,
     RadialFunction,
+    _blocks,
     _panel_nodes,
     integrate_radial,
     lp_norm,
@@ -462,29 +463,31 @@ def _hls_band(grid: Grid, lam: float, n: int) -> np.ndarray:
     frac, wfrac = _panel_nodes(
         np.concatenate([[0.0], 2.0 ** np.arange(-levels, 1.0)]), _GRID_ORDER
     )
-    t = end[..., None] + (start - end)[..., None] * frac
-    wt = (
-        np.abs(start - end)[..., None]
-        * wfrac
-        * np.sinh(t) ** (n - 1)
-        * _hls_angular(rho[:, None, None], t, lam, n)
-    )
-    # Legendre moments of the weights in the owner panel's coordinate,
-    # mapped to its nodes by the inverse Legendre-Vandermonde matrix
-    lo, hi = edges[owner][..., None], edges[owner + 1][..., None]
-    x = (2.0 * t - lo - hi) / (hi - lo)
-    moments = np.stack(
-        [np.sum(wt * Legendre.basis(k)(x), axis=-1) for k in range(_GRID_ORDER)],
-        axis=-1,
-    )
     y = (2.0 * rho.reshape(panels, _GRID_ORDER) - edges[:-1, None] - edges[1:, None]) / (
         np.diff(edges)[:, None]
     )
     to_nodes = np.linalg.inv(legvander(y, _GRID_ORDER - 1))
-    weights = np.einsum("iqk,iqkj->iqj", moments, to_nodes[owner])
     out = np.zeros((size, size))
-    cols = owner[..., None] * _GRID_ORDER + np.arange(_GRID_ORDER)
-    np.add.at(out, (np.arange(size)[:, None, None], cols), weights)
+    # blocks of rows, so the (row, piece, node) temporaries stay cache-sized
+    for r in _blocks(size, 4 * frac.size):
+        t = end[r, :, None] + (start[r] - end[r])[..., None] * frac
+        wt = (
+            np.abs(start[r] - end[r])[..., None]
+            * wfrac
+            * np.sinh(t) ** (n - 1)
+            * _hls_angular(rho[r, None, None], t, lam, n)
+        )
+        # Legendre moments of the weights in the owner panel's coordinate,
+        # mapped to its nodes by the inverse Legendre-Vandermonde matrix
+        lo, hi = edges[owner[r]][..., None], edges[owner[r] + 1][..., None]
+        x = (2.0 * t - lo - hi) / (hi - lo)
+        moments = np.stack(
+            [np.sum(wt * Legendre.basis(k)(x), axis=-1) for k in range(_GRID_ORDER)],
+            axis=-1,
+        )
+        weights = np.einsum("iqk,iqkj->iqj", moments, to_nodes[owner[r]])
+        cols = owner[r, :, None] * _GRID_ORDER + np.arange(_GRID_ORDER)
+        np.add.at(out, (np.arange(size)[r, None, None], cols), weights)
     return out
 
 
@@ -657,9 +660,12 @@ def _power_kernel_convolution(alpha, beta, n, rho_y):
     r, wr = _panel_nodes(np.concatenate([left, right]), 12)
     base = np.sinh(0.5 * (r - ry)) ** 2
     cross = np.sinh(r) * math.sinh(ry)
-    x = base[:, None] + cross[:, None] * s2[None, :]
-    kern = x ** (0.5 * (alpha - n)) * (1.0 + x) ** (-0.5 * (alpha + beta))
-    inner = kern @ ang
+    inner = np.empty(r.size)
+    # blocks of radii, so the (radius, angle) temporaries stay cache-sized
+    for blk in _blocks(r.size, t.size):
+        x = base[blk, None] + cross[blk, None] * s2[None, :]
+        kern = x ** (0.5 * (alpha - n)) * (1.0 + x) ** (-0.5 * (alpha + beta))
+        inner[blk] = kern @ ang
     fvol = np.sinh(0.5 * r) ** (beta - n) * np.sinh(r) ** (n - 1) * wr
     return sphere_area(n - 1) * float(inner @ fvol)
 

@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hypverify import radial
+from hypverify.kernels import _resolvent_closed_odd
 from hypverify.radial import (
     Grid,
     RadialFunction,
     _fornberg_weights,
     _panel_nodes,
+    _theta_graded,
+    _theta_plain,
     as_callable,
     convolve_with_kernel,
     integrate_radial,
@@ -236,6 +241,15 @@ class TestConvolution:
         scale = np.max(np.abs(via_grid))
         assert np.max(np.abs(via_grid - via_kernel)) / scale < 1e-6
 
+    def test_unconverged_angular_rule_raises(self):
+        # a narrow g varies on angles ~1e-5 at the outer radii, far below
+        # what 512 Gauss-Legendre nodes on [0, pi] resolve
+        grid = make_radial_grid(rho_max=12.0, num_nodes=160)
+        rho = grid.nodes
+        g = np.exp(-50.0 * (np.cosh(rho) - 1.0))
+        with pytest.raises(RuntimeError, match=r"not converged at 512 nodes; the probe rows moved by"):
+            radial_convolution(np.exp(-rho), g, grid, 3)
+
     def test_singular_kernel_against_oracle(self, grid_conv):
         # kernel 1/(2 sinh(d/2)) is singular at d = 0; its product with
         # sinh d is cosh(d/2), antiderivative 2 sinh(d/2)
@@ -247,6 +261,86 @@ class TestConvolution:
         want = _abel_oracle_n3(f, lambda r: 2.0 * np.sinh(r / 2.0), grid_conv)
         err = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert err < 1e-6
+
+
+def _rowwise_convolution(f_vals, kernel, grid, n, theta, wtheta):
+    """The angular quadrature summed row by row over every (i, j, theta),
+    with no symmetry and no blocks."""
+    rho = grid.nodes
+    fw = f_vals * grid.weights * np.sinh(rho) ** (n - 1)
+    s2 = np.sin(0.5 * theta) ** 2
+    out = np.empty(grid.size)
+    for i, rx in enumerate(rho):
+        a = 2.0 * np.sinh(0.5 * (rx - rho)) ** 2
+        b = math.sinh(rx) * np.sinh(rho)
+        vm1 = a[:, None] + 2.0 * b[:, None] * s2[None, :]
+        d = np.log1p(vm1 + np.sqrt(vm1 * (vm1 + 2.0)))
+        out[i] = sphere_area(n - 1) * ((kernel(d) @ wtheta) @ fw)
+    return out
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+_KERNELS = {
+    # s = 1 resolvent, as in the Q_k^-1 convolution route
+    "resolvent": lambda n: lambda d: _resolvent_closed_odd(1.0 - (n - 1) ** 2 / 4.0, d, n),
+    "singular": lambda n: lambda d: 1.0 / (2.0 * np.sinh(d / 2.0)),
+    "smooth": lambda n: lambda d: np.exp(-2.0 * (np.cosh(d) - 1.0)),
+}
+
+
+class TestSymmetricAssembly:
+    """The upper-triangle, blocked assembly against the plain row sum."""
+
+    @pytest.mark.parametrize("num_nodes", [120, 200])
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("name", sorted(_KERNELS))
+    def test_convolve_with_kernel_matches_row_sum(self, name, n, num_nodes):
+        grid = make_radial_grid(rho_max=12.0, num_nodes=num_nodes)
+        theta, wtheta = _theta_graded(n, 15, 12)
+        pairs = grid.size * (grid.size + 1) // 2
+        step = radial._BLOCK_ENTRIES // theta.size
+        assert pairs > step and pairs % step != 0  # several blocks, the last ragged
+        f = np.exp(-(grid.nodes**2))
+        kernel = _KERNELS[name](n)
+        got = convolve_with_kernel(f, kernel, grid, n)
+        want = _rowwise_convolution(f, kernel, grid, n, theta, wtheta)
+        assert _rel_err(got, want) < 1e-14
+
+    @pytest.mark.parametrize("num_nodes", [120, 200])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_radial_convolution_matches_row_sum(self, n, num_nodes, monkeypatch):
+        grid = make_radial_grid(rho_max=12.0, num_nodes=num_nodes)
+        sizes = []
+
+        def spy(num, dim):
+            sizes.append(num)
+            return _theta_plain(num, dim)
+
+        monkeypatch.setattr(radial, "_theta_plain", spy)
+        f = np.exp(-(grid.nodes**2))
+        g = np.exp(-2.0 * (np.cosh(grid.nodes) - 1.0))
+        got = radial_convolution(f, g, grid, n)
+        # the last rule tried only confirmed the one before it, which was used
+        theta, wtheta = _theta_plain(sizes[-2], n)
+        step = radial._BLOCK_ENTRIES // theta.size
+        assert (grid.size * (grid.size + 1) // 2) % step != 0
+        want = _rowwise_convolution(f, as_callable(g, grid), grid, n, theta, wtheta)
+        assert _rel_err(got, want) < 1e-14
+
+    def test_peak_allocation_is_bounded(self):
+        # one 4e6-entry block temporary alone would take 32 MB
+        grid = make_radial_grid(rho_max=12.0, num_nodes=480)
+        f = np.exp(-(grid.nodes**2))
+        tracemalloc.start()
+        try:
+            convolve_with_kernel(f, _KERNELS["singular"](5), grid, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestRadialFunction:
