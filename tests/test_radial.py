@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from hypverify import radial
-from hypverify.kernels import _resolvent_closed_odd
+from hypverify.kernels import _gap_shifts, _resolvent_closed_odd, limiting_green_kernel
 from hypverify.radial import (
     Grid,
     RadialFunction,
@@ -341,6 +341,64 @@ class TestSymmetricAssembly:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+
+# (id, n, kernel): the kernels of the Q_k^-1 convolution route, and 1/(2 sinh(d/2))
+_DEPTH_CASES = (
+    [(f"green_n{n}", n, lambda d, n=n: limiting_green_kernel(d, n)) for n in (3, 5, 7)]
+    + [
+        (f"resolvent_n{n}_c{c:g}", n, lambda d, c=c, n=n: _resolvent_closed_odd(c, d, n))
+        for n in (5, 7)
+        for c in _gap_shifts(n, (n - 1) // 2)
+    ]
+    + [("singular_n5", 5, _KERNELS["singular"](5))]
+)
+
+
+class TestPerPairDepth:
+    """Each pair's depth of the graded rule against the 15-level rule."""
+
+    @pytest.mark.parametrize("num_nodes", [120, 200, 480])
+    @pytest.mark.parametrize("name, n, kernel", _DEPTH_CASES, ids=[c[0] for c in _DEPTH_CASES])
+    def test_matches_the_deepest_rule(self, name, n, kernel, num_nodes, monkeypatch):
+        grid = make_radial_grid(rho_max=12.0, num_nodes=num_nodes)
+        f = np.exp(-(grid.nodes**2))
+        theta, wtheta = _theta_graded(n, 15, 12)
+        calls = []
+        inner = radial._angular_integrals
+
+        def spy(i, j, kern, grd, th, wth):
+            calls.append((i, j, th))
+            return inner(i, j, kern, grd, th, wth)
+
+        monkeypatch.setattr(radial, "_angular_integrals", spy)
+        got = convolve_with_kernel(f, kernel, grid, n)
+        want = _rowwise_convolution(f, kernel, grid, n, theta, wtheta)
+        assert _rel_err(got, want) < 1e-14
+        # every diagonal pair, where d reaches 0, runs on the 192-node rule
+        diagonal = 0
+        for i, j, th in calls:
+            on_diag = i == j
+            if on_diag.any():
+                assert np.array_equal(th, theta)
+            diagonal += int(on_diag.sum())
+        assert diagonal == grid.size
+
+    def test_angular_entries_stay_below_a_third_of_the_fixed_rule(self, monkeypatch):
+        # a count, not a timing: a return to one depth for every pair
+        # shows here at once (the per-pair rule needs about 28 %)
+        grid = make_radial_grid(rho_max=12.0, num_nodes=480)
+        entries = []
+        inner = radial._angular_integrals
+
+        def counting(i, j, kern, grd, th, wth):
+            entries.append(i.size * th.size)
+            return inner(i, j, kern, grd, th, wth)
+
+        monkeypatch.setattr(radial, "_angular_integrals", counting)
+        convolve_with_kernel(np.exp(-(grid.nodes**2)), _KERNELS["singular"](5), grid, 5)
+        fixed = grid.size * (grid.size + 1) // 2 * _theta_graded(5, 15, 12)[0].size
+        assert 0 < sum(entries) < fixed / 3
 
 
 class TestRadialFunction:
