@@ -52,6 +52,7 @@ from scipy.special import beta, hyp2f1
 from hypverify.kernels import qk_inverse_kernel
 from hypverify.radial import (
     _GRID_ORDER,
+    _RADIAL_INNER,
     Grid,
     RadialFunction,
     _blocks,
@@ -808,13 +809,17 @@ class DualityChainReport:
 def _qk_bound_constant(num_nodes: int) -> float:
     """Fitted A in Q_k^-1 kernel <= A sinh(rho/2)^(2k-n), n = 5, k = 2.
 
-    The largest kernel * sinh(rho/2)^(n-2k) over the nodes of the
-    rho_max = 10 grid with num_nodes nodes, the kernel by the
-    convolution route.
+    The largest kernel * sinh(rho/2)^(n-2k) over the nodes past the
+    first panel [0, 1e-4] of the rho_max = 10 grid with num_nodes
+    nodes, the kernel by the convolution route.  Every grid shares that
+    panel, and there the route reads the kernel up to 92 % high; past it
+    the 256- and 512-node fits differ, so a comparison of the two can
+    fail.
     """
     grid = make_radial_grid(rho_max=10.0, num_nodes=num_nodes)
     kern = qk_inverse_kernel(grid, 5, 2, route="convolution")
-    return float(np.max(kern * np.sinh(0.5 * grid.nodes)))
+    past = grid.nodes > _RADIAL_INNER
+    return float(np.max(kern[past] * np.sinh(0.5 * grid.nodes[past])))
 
 
 def duality_chain_check() -> DualityChainReport:
@@ -826,7 +831,10 @@ def duality_chain_check() -> DualityChainReport:
     lam = n - 2k; Cauchy-Schwarz in the Q_k inner product plus the
     bilinear bound chains them.  All three numbers are computed
     independently; the report carries both sides of the inequality.
-    A is 2^(n-2k) times the 512-node fit of ``_qk_bound_constant``.
+    A is 2^(n-2k) times the 512-node fit of ``_qk_bound_constant``,
+    which skips the nodes of the grid's first panel [0, 1e-4]; on that
+    panel the exact kernel * sinh(rho/2) exceeds its value at 1e-4 by
+    less than 1e-4 relative.
     """
     n, k = 5, 2
     A = 2.0 ** (n - 2 * k) * _qk_bound_constant(512)

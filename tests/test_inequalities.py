@@ -678,8 +678,27 @@ class TestDualityChain:
         got = _qk_bound_constant(256)
         grid = make_radial_grid(rho_max=10.0, num_nodes=256)
         kern = kernels.qk_inverse_kernel(grid, 5, 2, route="convolution")
-        assert got == float(np.max(kern * np.sinh(0.5 * grid.nodes)))
+        past = grid.nodes > 1e-4
+        assert got == float(np.max(kern[past] * np.sinh(0.5 * grid.nodes[past])))
         assert _qk_bound_constant.cache_info().currsize == 1
+
+    def test_fit_skips_the_shared_first_panel_and_can_disagree(self):
+        # the exact kernel by partial fractions of the symbol x (x + 9/4),
+        # x = lam^2/4: (4/9)(G - R) with R the resolvent at shift -7/4;
+        # its sup past 1e-4 sits at 1e-4, where the float difference
+        # still holds about 8 digits
+        rho = np.geomspace(1e-4, 10.0, 20001)
+        exact = (4.0 / 9.0) * (
+            kernels.limiting_green_kernel(rho, 5)
+            - kernels._resolvent_closed_odd(-7.0 / 4.0, rho, 5)
+        )
+        want = float(np.max(exact * np.sinh(0.5 * rho)))
+        coarse, fine = _qk_bound_constant(256), _qk_bound_constant(512)
+        assert abs(coarse / want - 1.0) < 1e-2
+        assert abs(fine / want - 1.0) < 1e-2
+        # the two grids resolve the fitted window differently, so the
+        # stability row compares two numbers that can disagree
+        assert abs(fine - coarse) > 1e-6
 
 
 class TestHolderInterpolation:
