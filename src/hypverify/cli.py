@@ -225,7 +225,7 @@ def _heat_mass(cfg, rng):
 def _heat_semigroup(cfg, rng):
     grid = radial.make_radial_grid(rho_max=14.0, num_nodes=640)
     half = kernels.heat_kernel(0.5, grid.nodes, 3)
-    conv = radial.radial_convolution(half, half, grid, 3)
+    conv = radial.convolve_with_kernel(half, lambda d: kernels.heat_kernel(0.5, d, 3), grid, 3)
     one = kernels.heat_kernel(1.0, grid.nodes, 3)
     win = (grid.nodes >= 0.1) & (grid.nodes <= 3.0)
     return float(np.max(np.abs(conv[win] - one[win]))), 0.0

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import hyp2f1, roots_legendre
 
-from hypverify import cli, kernels
+from hypverify import cli, inequalities, kernels, radial
 from hypverify.inequalities import (
     _BUBBLE_CUTOFF,
     InequalitySpec,
@@ -583,6 +583,16 @@ class TestConvolutionBound:
         assert rep.max_ratio < 1.0
         assert rep.max_ratio > 0.9
         assert rep.worst_rho < 0.5
+
+    @pytest.mark.parametrize("alpha,beta,n", [(1.0, 2.0, 5), (2.0, 2.0, 5), (1.0, 1.0, 4)])
+    def test_power_kernel_angular_rule_is_converged(self, alpha, beta, n, monkeypatch):
+        # rerun with 16-node angular panels and a depth cap 5 levels deeper
+        probes = (0.05, 0.3, 2.0, 10.0)
+        want = [inequalities._power_kernel_convolution(alpha, beta, n, ry) for ry in probes]
+        monkeypatch.setattr(radial, "_PANEL_NODES", 16)
+        monkeypatch.setattr(inequalities, "_POWER_LEVELS", inequalities._POWER_LEVELS + 5)
+        got = [inequalities._power_kernel_convolution(alpha, beta, n, ry) for ry in probes]
+        assert np.max(np.abs(np.array(got) / np.array(want) - 1.0)) < 1e-14
 
     def test_symmetric_case_n3(self):
         rep = convolution_bound_check(1.0, 1.0, 3)
