@@ -17,7 +17,7 @@ the operator's symbol); iterated finite differences of order 2k are
 avoided on principle.  Bilinear Hardy-Littlewood-Sobolev forms reduce,
 through the closed-form angular integral of the distance kernel, to a
 double radial sum.  The kernel-composition bound integrates its power
-kernel over angles with the graded rule of the radial convolutions.
+kernel over angles with the per-pair angular rule of the radial convolutions.
 
 Constants:
 
@@ -629,8 +629,8 @@ class ConvolutionBoundReport:
 
 _POWER_RHO_MAX = 45.0
 _BOUND_PROBES = 48
-# depth cap of the graded angular rule: no pair (rho_y, r) has d = 0, so
-# it only has to reach the deepest level theta_c asks for, 43 at rho_y = 10
+# depth cap of the angular rule: no pair (rho_y, r) has d = 0, so it
+# only has to reach the deepest level theta_c asks for, 42 at rho_y = 10
 _POWER_LEVELS = 45
 
 
@@ -640,8 +640,8 @@ def _power_kernel_convolution(alpha, beta, n, rho_y):
     Both factors are singular and the composition develops a weak
     singularity across rho = rho_y, so the radial panels grade into
     that point from both sides.  The angular integral of each pair
-    (rho_y, r) is that of ``convolve_with_kernel``: the graded rule
-    of radial._graded_integrals, as deep as the pair needs.
+    (rho_y, r) is that of ``convolve_with_kernel``: the sinh-mapped
+    rule of radial._graded_integrals, as deep as the pair needs.
     """
     ry = float(rho_y)
     left = np.concatenate(
@@ -682,9 +682,9 @@ def convolution_bound_check(alpha: float, beta: float, n: int) -> ConvolutionBou
     the hyperbolic sharpening of the Euclidean composition identity.
     The ratio approaches 1 from below as rho -> 0, so the smallest of
     the 48 geometric probe points carry margins as thin as 1e-4.  At
-    each point the angular rule is converged to 4.4e-16 (16-node panels
-    and a deeper cap give the same values), and 20-node radial panels
-    move the values by at most 2.6e-9.  The report carries the worst
+    each point the angular rule is within 3.1e-15 of a dyadic rule with
+    16-node panels down to 5 levels below the cap, and 20-node radial
+    panels move the values by at most 2.6e-9.  The report carries the worst
     ratio and where it occurs.
     """
     if not (0.0 < alpha < n and 0.0 < beta < n and alpha + beta < n):

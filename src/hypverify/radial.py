@@ -10,9 +10,10 @@ rotation-invariant pairing
 
 reduced to a double integral over the radius of y and the angle between
 x and y.  Every angular integral, of a kernel given as a callable or of
-grid samples interpolated by a spline, goes through one rule: graded
-toward angle 0, where singular kernels concentrate, and only as deep for
-each pair of radii as the gap between them requires.  The angular
+grid samples interpolated by a spline, goes through one rule: a
+Gauss-Legendre rule under a sinh map that crowds its nodes toward
+angle 0, where singular kernels concentrate, only as far for each pair
+of radii as the gap between them requires.  The angular
 integral is symmetric in the two radii, so it is computed once per pair
 on the upper triangle of the grid, in blocks of about 2e4 (pair, angle)
 entries, mirrored into one N x N matrix and applied to f with a single
@@ -75,9 +76,10 @@ _RADIAL_INNER = 1e-4
 @lru_cache(maxsize=None)
 def _legendre_rule(order: int):
     # Gauss-Legendre nodes and weights on [-1, 1], read-only since shared.
-    # Cached: the graded angular rule is rebuilt for every depth group,
-    # and scipy's eigenvalue solve for it took half the time of the
-    # power-kernel bound's 48 probes
+    # Cached and built on first use: the angular rule is rebuilt for every
+    # depth group, each depth has its own order (all 45 orders together
+    # take 0.05-0.09 s), and scipy's eigenvalue solve took half the time
+    # of the power-kernel bound's 48 probes when it was not cached
     x, w = roots_legendre(order)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -303,44 +305,57 @@ def _angular_integrals(i, j, kernel, rho, theta, wtheta) -> np.ndarray:
     return out
 
 
-# the deepest graded angular rule of a convolution, 192 nodes; the
-# diagonal pairs need it
-_MAX_LEVELS = 15
-_PANEL_NODES = 12
+# depth cap of a convolution's angular rule: the diagonal pairs, where d
+# reaches 0, take it
+_MAX_LEVELS = 40
+
+
+def _theta_sinh(n: int, depth: int):
+    # one Gauss-Legendre rule in tau, 16 + 5 depth nodes, under the map
+    # theta = theta_m sinh(tau) onto [0, pi] (Johnston & Elliott's sinh
+    # transformation for nearly singular integrals), theta_m = pi 2^-depth.
+    # A pair whose cosh d - 1 vanishes at theta = +-i theta_c with
+    # theta_m <= theta_c < 2 theta_m has that zero at distance pi/2 from
+    # the real tau axis, whatever its depth, so the nodes grow only with
+    # the length T = asinh(pi / theta_m) of the tau interval
+    theta_m = math.pi * 2.0**-depth
+    x, w = _legendre_rule(16 + 5 * depth)
+    half = 0.5 * math.asinh(math.pi / theta_m)
+    tau = half * (x + 1.0)
+    theta = theta_m * np.sinh(tau)
+    return theta, half * w * theta_m * np.cosh(tau) * np.sin(theta) ** (n - 2)
 
 
 def _theta_levels(i, j, rho, cap: int) -> np.ndarray:
-    # dyadic depth L of the graded rule for each pair (rho[i], rho[j]).  In
+    # depth L of the sinh-mapped rule for each pair (rho[i], rho[j]).  In
     # theta, cosh d - 1 = a + 2 b sin^2(theta/2) vanishes near
-    # theta = +-i theta_c, theta_c = 2 sinh(|rho_i - rho_j|/2) / sqrt(b),
-    # so the kernel is analytic below theta_c/2 and one 12-node panel
-    # covers [0, pi 2^-L].  L = ceil(log2(pi / theta_c)) alone left an
-    # n = 7 resolvent 2.7e-11 off the deepest rule; one level more keeps
-    # every pair within about 1e-14.  The floor on theta_c sends the
-    # pairs with d = 0 (theta_c = 0) to the cap without dividing by 0.
-    # Blocked and stored as int8, so no pair-sized float array is made
+    # theta = +-i theta_c, theta_c = 2 sinh(|rho_i - rho_j|/2) / sqrt(b);
+    # L = ceil(log2(pi / theta_c)) puts theta_m = pi 2^-L in
+    # (theta_c / 2, theta_c].  The floor on theta_c sends the pairs with
+    # d = 0 (theta_c = 0) to the cap without dividing by 0.  Blocked and
+    # stored as int8, so no pair-sized float array is made
     sh = np.sinh(rho)
-    floor = math.pi * 2.0 ** -(cap + 1)
+    floor = math.pi * 2.0**-cap
     level = np.empty(i.size, dtype=np.int8)
     for blk in _blocks(i.size, 1):
         bi = i[blk]
         bj = j[blk]
         theta_c = 2.0 * np.sinh(0.5 * np.abs(rho[bi] - rho[bj])) / np.sqrt(sh[bi] * sh[bj])
-        depth = np.ceil(np.log2(math.pi / np.maximum(theta_c, floor))) + 1.0
+        depth = np.ceil(np.log2(math.pi / np.maximum(theta_c, floor)))
         level[blk] = np.clip(depth, 1, cap)
     return level
 
 
 def _graded_integrals(i, j, kernel, rho, n: int, cap: int) -> np.ndarray:
-    # _angular_integrals with each pair on its own depth (at most cap) of
-    # the graded rule: pairs are sorted by depth and each depth runs as
-    # one batch
+    # _angular_integrals with each pair on the sinh-mapped rule of its own
+    # depth (at most cap): pairs are sorted by depth and each depth runs
+    # as one batch
     level = _theta_levels(i, j, rho, cap)
     order = np.argsort(level, kind="stable")
     depths, counts = np.unique(level, return_counts=True)
     out = np.empty(i.size)
     for depth, grp in zip(depths, np.split(order, np.cumsum(counts)[:-1])):
-        theta, wtheta = _theta_graded(n, int(depth), _PANEL_NODES)
+        theta, wtheta = _theta_sinh(n, int(depth))
         # gathered block by block: group-sized index copies, left on the
         # heap between the block temporaries, raised the peak RSS of an
         # 896-node convolution by 4 MB
@@ -356,23 +371,26 @@ def convolve_with_kernel(f_values, kernel, grid: Grid, n: int) -> np.ndarray:
     The kernel may have an integrable singularity at zero distance
     (Green-type kernels) or be smooth; as a function of the angle theta
     between the two points it is assumed analytic wherever the distance
-    d is not 0.  The angular quadrature is a 12-node Gauss-Legendre rule
-    on each of the L + 1 panels [0, pi 2^-L], [pi 2^-L, pi 2^(1-L)],
-    ..., [pi/2, pi], where L is chosen per pair of radii (r, s):
-    L = clip(ceil(log2(pi / theta_c)) + 1, 1, 15), with
+    d is not 0.  The angular quadrature is one Gauss-Legendre rule of
+    16 + 5 L nodes in tau, mapped onto [0, pi] by
+    theta = theta_m sinh(tau), theta_m = pi 2^-L, where L is chosen per
+    pair of radii (r, s): L = clip(ceil(log2(pi / theta_c)), 1, 40), with
     theta_c = 2 sinh(|r - s|/2) / sqrt(sinh r sinh s) about where
-    cosh d - 1 has its complex zero in theta.  The diagonal and the
-    near-diagonal band get the deepest, 192-node rule; the rest need
-    fewer levels (53 nodes on average at 480 nodes on [0, 12]), and
-    every pair stays within about 1e-14 of the 192-node rule.  The
-    angular integral is symmetric in r and s, so it is computed on the
-    upper triangle only, mirrored into one N x N matrix and applied to
-    f with one matrix-vector product.  The callable receives distances
-    as a 2-d ndarray, one row per pair of radii and one column per
-    angular node.  It must handle values down to about
-    8.8e-7 * sinh(rho) (the smallest node of the 192-node rule, which
-    only the deepest pairs use; 1.8e-12 at the innermost node of a
-    480-node grid on [0, 12]).
+    cosh d - 1 has its complex zero in theta.  The map keeps that zero
+    at distance pi/2 from the real tau axis at every depth, so the nodes
+    grow only linearly with L.  The diagonal pairs get the deepest,
+    216-node rule; the rest need fewer (32 nodes on average at 480
+    nodes on [0, 12]), and every pair stays within 5e-14 of a dyadic
+    rule with 16 nodes on each of 41 panels.  The angular integral is
+    symmetric in r and s, so it is computed on the upper triangle only,
+    mirrored into one N x N matrix and applied to f with one
+    matrix-vector product.  The callable receives distances as a 2-d
+    ndarray, one row per pair of radii and one column per angular node.
+    It must handle values down to about 2.5e-15 * sinh(rho) (the
+    smallest node of the 216-node rule, which only the diagonal pairs
+    use; 5.0e-21 at the innermost node of a 480-node grid on [0, 12]); the
+    Green, resolvent and heat kernels of ``hypverify.kernels`` stay
+    finite there for n <= 7.
     """
     N = grid.size
     iu, ju = np.triu_indices(N)
@@ -389,12 +407,16 @@ def radial_convolution(f_values, g_values, grid: Grid, n: int) -> np.ndarray:
 
     g is interpolated by ``as_callable`` (a cubic spline in cosh rho,
     0 beyond rho_max) and convolved with f by ``convolve_with_kernel``,
-    on the same per-pair graded angular rule.  The spline, not the
-    angular rule, limits the result: against the 15-level rule on every
-    pair the output is within 3.6e-9 (sup-relative; n = 3, 5 on 120 to
-    480 nodes), while heat(0.5) * heat(0.5) on H^3 (528 nodes on
-    [0, 12]) is 3.9e-7 off the closed heat(1).  A kernel known in
-    closed form is better passed to ``convolve_with_kernel`` directly.
+    on the same per-pair angular rule.  The spline, not the angular
+    rule, limits the result.  The spline is not analytic in theta, so
+    against a deep dyadic rule on the same spline the output is only
+    within 2.4e-5 (sup-relative; n = 3, 5 on 120 and 200 nodes), but
+    the spline itself is 12 to 100 times further off: the same
+    convolution with the closed kernel differs by 3.6e-5 to 1.4e-3.
+    heat(0.5) * heat(0.5) on H^3 is 2.1e-4, 2.2e-5 and 3.9e-7 off the
+    closed heat(1) on 120, 200 and 528 nodes on [0, 12].  A kernel
+    known in closed form is better passed to ``convolve_with_kernel``
+    directly.
     """
     return convolve_with_kernel(f_values, as_callable(g_values, grid), grid, n)
 

@@ -586,13 +586,31 @@ class TestConvolutionBound:
 
     @pytest.mark.parametrize("alpha,beta,n", [(1.0, 2.0, 5), (2.0, 2.0, 5), (1.0, 1.0, 4)])
     def test_power_kernel_angular_rule_is_converged(self, alpha, beta, n, monkeypatch):
-        # rerun with 16-node angular panels and a depth cap 5 levels deeper
+        # rerun with every pair on one deep dyadic rule: 16-node panels
+        # down to 5 levels below the cap
         probes = (0.05, 0.3, 2.0, 10.0)
-        want = [inequalities._power_kernel_convolution(alpha, beta, n, ry) for ry in probes]
-        monkeypatch.setattr(radial, "_PANEL_NODES", 16)
-        monkeypatch.setattr(inequalities, "_POWER_LEVELS", inequalities._POWER_LEVELS + 5)
         got = [inequalities._power_kernel_convolution(alpha, beta, n, ry) for ry in probes]
+
+        def deep(i, j, kernel, rho, n, cap):
+            return radial._angular_integrals(i, j, kernel, rho, *radial._theta_graded(n, cap + 5, 16))
+
+        monkeypatch.setattr(inequalities, "_graded_integrals", deep)
+        want = [inequalities._power_kernel_convolution(alpha, beta, n, ry) for ry in probes]
         assert np.max(np.abs(np.array(got) / np.array(want) - 1.0)) < 1e-14
+
+    def test_angular_entries_of_one_row(self, monkeypatch):
+        # a count, not a timing: the sinh-mapped rule takes 3.44M
+        # (pair, theta) entries for the 48 probes, the dyadic one 7.32M
+        entries = []
+        inner = radial._angular_integrals
+
+        def counting(i, j, kern, grd, th, wth):
+            entries.append(i.size * th.size)
+            return inner(i, j, kern, grd, th, wth)
+
+        monkeypatch.setattr(radial, "_angular_integrals", counting)
+        convolution_bound_check(1.0, 2.0, 5)
+        assert 0 < sum(entries) < 4.5e6
 
     def test_symmetric_case_n3(self):
         rep = convolution_bound_check(1.0, 1.0, 3)

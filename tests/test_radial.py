@@ -313,6 +313,13 @@ _KERNELS = {
 }
 
 
+# 1.1 times the 15-level dyadic rule's error for each (n, num_nodes)
+_HEAT_PAIR_BOUNDS = {
+    (3, 120): 2.33e-4, (3, 200): 2.45e-5, (3, 528): 4.30e-7,
+    (5, 120): 7.95e-4, (5, 200): 9.00e-5, (5, 528): 1.69e-6,
+}
+
+
 class TestSymmetricAssembly:
     """The upper-triangle, blocked assembly against the plain row sum."""
 
@@ -344,18 +351,19 @@ class TestSymmetricAssembly:
         seen = np.sort(np.concatenate([pairs for pairs, _ in blocks]))
         assert np.array_equal(seen, np.sort(iu * grid.size + ju))
 
-    @pytest.mark.parametrize("num_nodes", [120, 200])
+    @pytest.mark.parametrize("num_nodes", [120, 200, 528])
     @pytest.mark.parametrize("n", [3, 5])
-    def test_radial_convolution_matches_row_sum(self, n, num_nodes):
-        # the spline of g is not analytic in theta, so the per-pair rule is
-        # within 3.1e-9 of the 15-level rule here (n = 5, 120 nodes), not 1e-14
+    def test_radial_convolution_heat_pair_against_closed_heat(self, n, num_nodes):
+        # the spline of g is not analytic in theta, so no angular rule gets
+        # it to 1e-14; what users see is the error against a closed form.
+        # heat(0.5) * heat(0.5) = heat(1), sup-relative on [0, 12]: measured
+        # 2.11e-4, 2.23e-5, 3.89e-7 (n = 3) and 7.22e-4, 8.18e-5, 1.50e-6
+        # (n = 5) on 120, 200, 528 nodes
+        bound = _HEAT_PAIR_BOUNDS[n, num_nodes]
         grid = make_radial_grid(rho_max=12.0, num_nodes=num_nodes)
-        theta, wtheta = _theta_graded(n, 15, 12)
-        f = np.exp(-(grid.nodes**2))
-        g = np.exp(-2.0 * (np.cosh(grid.nodes) - 1.0))
-        got = radial_convolution(f, g, grid, n)
-        want = _rowwise_convolution(f, as_callable(g, grid), grid, n, theta, wtheta)
-        assert _rel_err(got, want) < 1e-8
+        half = heat_kernel(0.5, grid.nodes, n)
+        got = radial_convolution(half, half, grid, n)
+        assert _rel_err(got, heat_kernel(1.0, grid.nodes, n)) < bound
 
     def test_peak_allocation_is_bounded(self):
         # one 4e6-entry block temporary alone would take 32 MB
@@ -416,7 +424,7 @@ _DEPTH_CASES = (
 
 
 class TestPerPairDepth:
-    """Each pair's depth of the graded rule against the 15-level rule."""
+    """Each pair's depth of the sinh-mapped rule against dyadic rules."""
 
     @pytest.mark.parametrize("num_nodes", [120, 200, 480])
     @pytest.mark.parametrize("name, n, kernel", _DEPTH_CASES, ids=[c[0] for c in _DEPTH_CASES])
@@ -424,6 +432,7 @@ class TestPerPairDepth:
         grid = make_radial_grid(rho_max=12.0, num_nodes=num_nodes)
         f = np.exp(-(grid.nodes**2))
         theta, wtheta = _theta_graded(n, 15, 12)
+        cap_theta = radial._theta_sinh(n, radial._MAX_LEVELS)[0]
         calls = []
         inner = radial._angular_integrals
 
@@ -435,18 +444,32 @@ class TestPerPairDepth:
         got = convolve_with_kernel(f, kernel, grid, n)
         want = _rowwise_convolution(f, kernel, grid, n, theta, wtheta)
         assert _rel_err(got, want) < 1e-14
-        # every diagonal pair, where d reaches 0, runs on the 192-node rule
+        # every diagonal pair, where d reaches 0, is in the cap group
         diagonal = 0
         for i, j, th in calls:
             on_diag = i == j
             if on_diag.any():
-                assert np.array_equal(th, theta)
+                assert np.array_equal(th, cap_theta)
             diagonal += int(on_diag.sum())
         assert diagonal == grid.size
 
-    def test_angular_entries_stay_below_a_third_of_the_fixed_rule(self, monkeypatch):
-        # a count, not a timing: a return to one depth for every pair
-        # shows here at once (the per-pair rule needs about 28 %)
+    @pytest.mark.parametrize("num_nodes", [120, 200])
+    @pytest.mark.parametrize("name, n, kernel", _DEPTH_CASES, ids=[c[0] for c in _DEPTH_CASES])
+    def test_every_pair_matches_a_deep_dyadic_rule(self, name, n, kernel, num_nodes):
+        # pair by pair, so the pairs near rho_max count as much as any: the
+        # outputs above weigh them by f = e^(-rho^2) and cannot see them.
+        # Measured 3.0e-14 at worst; a dyadic rule capped at 15 levels
+        # is up to 1.6e-2 off on those pairs
+        grid = make_radial_grid(rho_max=12.0, num_nodes=num_nodes)
+        iu, ju = np.triu_indices(grid.size)
+        got = radial._graded_integrals(iu, ju, kernel, grid.nodes, n, radial._MAX_LEVELS)
+        deep = radial._angular_integrals(iu, ju, kernel, grid.nodes, *_theta_graded(n, 40, 16))
+        assert np.max(np.abs(got / deep - 1.0)) < 5e-14
+
+    def test_angular_entries_stay_below_a_fifth_of_the_fixed_rule(self, monkeypatch):
+        # a count, not a timing: a return to one depth for every pair, or
+        # to 12 nodes on every octave, shows here at once (the sinh-mapped
+        # rule needs 16.5 % of the fixed 192-node rule, the dyadic one 27.8 %)
         grid = make_radial_grid(rho_max=12.0, num_nodes=480)
         entries = []
         inner = radial._angular_integrals
@@ -458,7 +481,7 @@ class TestPerPairDepth:
         monkeypatch.setattr(radial, "_angular_integrals", counting)
         convolve_with_kernel(np.exp(-(grid.nodes**2)), _KERNELS["singular"](5), grid, 5)
         fixed = grid.size * (grid.size + 1) // 2 * _theta_graded(5, 15, 12)[0].size
-        assert 0 < sum(entries) < fixed / 3
+        assert 0 < sum(entries) < fixed / 5
 
 
 class TestRadialFunction:
