@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import Legendre, legvander
+from numpy.polynomial.legendre import legvander
 from scipy.special import beta, hyp2f1
 
 from hypverify.kernels import qk_inverse_kernel
@@ -268,6 +268,12 @@ def _cutoff(r, edge: float = 0.9, width: float = 0.1):
 _BUBBLE_CUTOFF = 0.9
 
 
+@lru_cache(maxsize=1)
+def _trial_grid() -> Grid:
+    # the default grid of both trial families
+    return make_radial_grid(rho_max=3.0, num_nodes=768)
+
+
 def _flat_bubble(r, eps: float, n: int, k: int):
     # bubble minus its tangent parabola at the cutoff radius: the
     # profile is C^{1,1}, nonnegative, and decreasing on [0, R]
@@ -303,7 +309,7 @@ def bubble_family(
     if not 1 <= k < n / 2.0:
         raise ValueError("need 1 <= k < n/2")
     if grid is None:
-        grid = make_radial_grid(rho_max=3.0, num_nodes=768)
+        grid = _trial_grid()
     r = np.tanh(0.5 * grid.nodes)
     conf = (0.5 * (1.0 - r**2)) ** ((n - 2 * k) / 2.0)
     return RadialFunction(grid, conf * _flat_bubble(r, eps, n, k), n)
@@ -317,13 +323,15 @@ def hls_trial_family(
     The transplant exponent is (2n - lam)/2, not the Sobolev (n-2k)/2:
     with it, both the bilinear form and the critical p-norm equal their
     Euclidean values exactly, so the ratio climbs to hls_constant.
+    Without ``grid``, every call shares one 768-node grid to rho = 3,
+    so hls_bilinear builds its form once for all eps of one lambda.
     """
     if not 0.0 < lambda_exp < n:
         raise ValueError("need 0 < lambda_exp < n")
     if eps <= 0.0:
         raise ValueError("need eps > 0")
     if grid is None:
-        grid = make_radial_grid(rho_max=3.0, num_nodes=768)
+        grid = _trial_grid()
     power = (2.0 * n - lambda_exp) / 2.0
     r = np.tanh(0.5 * grid.nodes)
     vals = (0.5 * (1.0 - r**2) * eps / (eps**2 + r**2)) ** power * _cutoff(r)
@@ -437,15 +445,41 @@ def _hls_angular(r, s, lam: float, n: int):
 _HLS_BAND_BITS = 36
 
 
+def _legendre_moments(wt, x) -> np.ndarray:
+    # sum over the last axis of wt P_k(x) for k < _GRID_ORDER, P_k by the
+    # recurrence (k + 1) P_(k+1) = (2k + 1) x P_k - k P_(k-1), evaluated
+    # in place in three arrays of x's shape
+    out = np.empty(wt.shape[:-1] + (_GRID_ORDER,))
+    out[..., 0] = np.sum(wt, axis=-1)
+    out[..., 1] = np.sum(wt * x, axis=-1)
+    prev, cur, spare = np.ones_like(x), x.copy(), np.empty_like(x)
+    for k in range(1, _GRID_ORDER - 1):
+        np.multiply(2 * k + 1, x, out=spare)
+        spare *= cur
+        prev *= k
+        spare -= prev
+        spare /= k + 1
+        prev, cur, spare = cur, spare, prev
+        np.multiply(wt, cur, out=spare)
+        out[..., k + 1] = np.sum(spare, axis=-1)
+    return out
+
+
 def _hls_band(grid: Grid, lam: float, n: int) -> np.ndarray:
     """Product-integration weights of the inner integral near its kink.
 
     The angular integral has a |r - s|^(n-1-lam) kink on the diagonal.
     Row i of the result holds the weights of the inner integral
     int K(rho_i, s) g(s) sinh^(n-1)(s) ds over the panel holding rho_i
-    and its two neighbours.  Each of these panels is split at rho_i and
-    graded dyadically toward it, and g is interpolated from the panel's
-    own nodes, so the weights belong to those nodes.
+    and its two neighbours.  The own panel is split at rho_i into two
+    pieces graded dyadically toward it, ceil(36/(n - lam)) levels deep.
+    Each neighbour is one piece graded toward its edge nearest rho_i,
+    only as deep as the grid's panel widths ask (8 levels on
+    make_radial_grid's grids of 144 to 768 nodes to rho = 3).  g is
+    interpolated from the panel's own nodes, through Legendre moments
+    of the piece's weights, so the weights belong to those nodes.  Every
+    (row, piece, node) temporary holds at most radial._BLOCK_ENTRIES
+    entries.
     """
     rho = grid.nodes
     size = rho.size
@@ -454,44 +488,81 @@ def _hls_band(grid: Grid, lam: float, n: int) -> np.ndarray:
         [[0.0], np.cumsum(grid.weights.reshape(panels, _GRID_ORDER).sum(axis=1))]
     )
     p = np.arange(size) // _GRID_ORDER
-    # four pieces per row, each running from `start` to its end nearest
-    # rho_i; a missing neighbour is an empty piece at 0 or rho_max
-    start = edges[
-        np.stack([np.maximum(p - 1, 0), p, p + 1, np.minimum(p + 2, panels)], axis=1)
-    ]
-    end = np.stack([edges[p], rho, rho, edges[p + 1]], axis=1)
-    owner = np.stack([np.maximum(p - 1, 0), p, p, np.minimum(p + 1, panels - 1)], axis=1)
-
-    levels = math.ceil(_HLS_BAND_BITS / (n - lam))
-    frac, wfrac = _panel_nodes(
-        np.concatenate([[0.0], 2.0 ** np.arange(-levels, 1.0)]), _GRID_ORDER
-    )
+    width = np.diff(edges)
     y = (2.0 * rho.reshape(panels, _GRID_ORDER) - edges[:-1, None] - edges[1:, None]) / (
-        np.diff(edges)[:, None]
+        width[:, None]
     )
     to_nodes = np.linalg.inv(legvander(y, _GRID_ORDER - 1))
+    # A neighbour piece of width h' ends short of the kink by the gap
+    # from rho_i to the panel edge, at least (1 - x_1)/2 = 0.0199 of the
+    # own panel's width for 8 Gauss nodes.  Graded L levels with
+    # 2^-L h' <= gap, every sub-piece sees the kink at least its own
+    # width away, as in a full-depth grading; so L = ceil(log2(h'/gap)),
+    # which is 8 while neighbouring panel widths differ by at most 5.1x.
+    reach = np.maximum(
+        width[np.maximum(p - 1, 0)] / (rho - edges[p]),
+        width[np.minimum(p + 1, panels - 1)] / (edges[p + 1] - rho),
+    )
+    # pieces run from `start` to their end nearest rho_i; a missing
+    # neighbour is an empty piece at 0 or rho_max
+    sides = np.stack([edges[p], edges[p + 1]], axis=1)
+    own = (
+        sides,
+        np.stack([rho, rho], axis=1),
+        np.stack([p, p], axis=1),
+        math.ceil(_HLS_BAND_BITS / (n - lam)),
+    )
+    neighbours = (
+        edges[np.stack([np.maximum(p - 1, 0), np.minimum(p + 2, panels)], axis=1)],
+        sides,
+        np.stack([np.maximum(p - 1, 0), np.minimum(p + 1, panels - 1)], axis=1),
+        math.ceil(math.log2(np.max(reach))),
+    )
     out = np.zeros((size, size))
-    # blocks of rows, so the (row, piece, node) temporaries stay cache-sized
-    for r in _blocks(size, 4 * frac.size):
-        t = end[r, :, None] + (start[r] - end[r])[..., None] * frac
-        wt = (
-            np.abs(start[r] - end[r])[..., None]
-            * wfrac
-            * np.sinh(t) ** (n - 1)
-            * _hls_angular(rho[r, None, None], t, lam, n)
+    for start, end, owner, levels in (own, neighbours):
+        frac, wfrac = _panel_nodes(
+            np.concatenate([[0.0], 2.0 ** np.arange(-levels, 1.0)]), _GRID_ORDER
         )
-        # Legendre moments of the weights in the owner panel's coordinate,
-        # mapped to its nodes by the inverse Legendre-Vandermonde matrix
-        lo, hi = edges[owner[r]][..., None], edges[owner[r] + 1][..., None]
-        x = (2.0 * t - lo - hi) / (hi - lo)
-        moments = np.stack(
-            [np.sum(wt * Legendre.basis(k)(x), axis=-1) for k in range(_GRID_ORDER)],
-            axis=-1,
-        )
-        weights = np.einsum("iqk,iqkj->iqj", moments, to_nodes[owner[r]])
-        cols = owner[r, :, None] * _GRID_ORDER + np.arange(_GRID_ORDER)
-        np.add.at(out, (np.arange(size)[r, None, None], cols), weights)
+        for r in _blocks(size, 2 * frac.size):
+            t = end[r, :, None] + (start[r] - end[r])[..., None] * frac
+            wt = (
+                np.abs(start[r] - end[r])[..., None]
+                * wfrac
+                * np.sinh(t) ** (n - 1)
+                * _hls_angular(rho[r, None, None], t, lam, n)
+            )
+            # Legendre moments of the weights in the owner panel's
+            # coordinate, mapped to its nodes by the inverse
+            # Legendre-Vandermonde matrix
+            lo, hi = edges[owner[r]][..., None], edges[owner[r] + 1][..., None]
+            moments = _legendre_moments(wt, (2.0 * t - lo - hi) / (hi - lo))
+            weights = np.einsum("iqk,iqkj->iqj", moments, to_nodes[owner[r]])
+            cols = owner[r, :, None] * _GRID_ORDER + np.arange(_GRID_ORDER)
+            np.add.at(out, (np.arange(size)[r, None, None], cols), weights)
     return out
+
+
+@lru_cache(maxsize=1)
+def _hls_form(grid: Grid, lam: float, n: int) -> np.ndarray:
+    # the symmetrised matrix W K W of hls_bilinear, W = weights sinh^(n-1),
+    # in one N x N array; read-only, since every caller with this key
+    # gets the same array
+    rho = grid.nodes
+    size = rho.size
+    wvol = grid.weights * np.sinh(rho) ** (n - 1)
+    form = _hls_band(grid, lam, n)
+    form *= wvol[:, None]
+    form += form.T
+    form *= 0.5
+    # off the band, one closed-form kernel value per symmetric pair; the
+    # far columns of row i start two panels past its own
+    first = (np.arange(size) // _GRID_ORDER + 2) * _GRID_ORDER
+    for r in _blocks(size, size):
+        i, j = np.nonzero(np.arange(size) >= first[r, None])
+        i += r.start
+        form[i, j] = form[j, i] = wvol[i] * _hls_angular(rho[i], rho[j], lam, n) * wvol[j]
+    form.flags.writeable = False
+    return form
 
 
 def hls_bilinear(f: RadialFunction, g: RadialFunction, lambda_exp: float) -> float:
@@ -503,7 +574,9 @@ def hls_bilinear(f: RadialFunction, g: RadialFunction, lambda_exp: float) -> flo
     diagonal band of three panels per node the sum is plain Gauss; on
     the band a product rule (``_hls_band``) integrates the
     |r - s|^(n-1-lambda) kink.  The weighted matrix is symmetrised, so
-    the form is symmetric in f and g to rounding.
+    the form is symmetric in f and g to rounding.  It is built once per
+    grid object, lambda and n, and the last one built is kept: further
+    pairs (f, g) on that grid cost one matrix-vector product.
 
     Measured on n = 3, a 288-node grid to rho = 3, a Gaussian against
     the eps = 0.3 trial profile, against an adaptive-quad oracle of the
@@ -532,16 +605,7 @@ def hls_bilinear(f: RadialFunction, g: RadialFunction, lambda_exp: float) -> flo
         )
     if grid.size % _GRID_ORDER:
         raise ValueError("the grid must consist of 8-node panels")
-    rho = grid.nodes
-    wvol = grid.weights * np.sinh(rho) ** (n - 1)
-    # off the band, one closed-form kernel value per symmetric pair
-    i, j = np.triu_indices(grid.size, 1)
-    far = j // _GRID_ORDER - i // _GRID_ORDER >= 2
-    i, j = i[far], j[far]
-    form = np.zeros((grid.size, grid.size))
-    form[i, j] = wvol[i] * _hls_angular(rho[i], rho[j], lam, n) * wvol[j]
-    band = wvol[:, None] * _hls_band(grid, lam, n)
-    form += form.T + 0.5 * (band + band.T)
+    form = _hls_form(grid, lam, n)
     return sphere_area(n) * sphere_area(n - 1) * float(f.values @ form @ g.values)
 
 

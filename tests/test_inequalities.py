@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import Legendre, legvander
 from scipy.integrate import quad
 from scipy.special import hyp2f1, roots_legendre
 
@@ -572,6 +573,136 @@ class TestHLSClosedForm:
         f = RadialFunction(grid, np.exp(-(grid.nodes**2)), 3)
         with pytest.raises(ValueError, match="8-node panels"):
             hls_bilinear(f, f, 1.0)
+
+
+def _band_full_depth(grid, lam, n):
+    # the band as first written: all four pieces graded ceil(36/(n - lam))
+    # levels deep, Legendre moments from numpy's Legendre.basis
+    order = radial._GRID_ORDER
+    rho = grid.nodes
+    size = rho.size
+    panels = size // order
+    edges = np.concatenate([[0.0], np.cumsum(grid.weights.reshape(panels, order).sum(axis=1))])
+    p = np.arange(size) // order
+    start = edges[np.stack([np.maximum(p - 1, 0), p, p + 1, np.minimum(p + 2, panels)], axis=1)]
+    end = np.stack([edges[p], rho, rho, edges[p + 1]], axis=1)
+    owner = np.stack([np.maximum(p - 1, 0), p, p, np.minimum(p + 1, panels - 1)], axis=1)
+    levels = math.ceil(36 / (n - lam))
+    frac, wfrac = radial._panel_nodes(
+        np.concatenate([[0.0], 2.0 ** np.arange(-levels, 1.0)]), order
+    )
+    y = (2.0 * rho.reshape(panels, order) - edges[:-1, None] - edges[1:, None]) / np.diff(
+        edges
+    )[:, None]
+    to_nodes = np.linalg.inv(legvander(y, order - 1))
+    out = np.zeros((size, size))
+    for r in radial._blocks(size, 4 * frac.size):
+        t = end[r, :, None] + (start[r] - end[r])[..., None] * frac
+        wt = np.abs(start[r] - end[r])[..., None] * wfrac * np.sinh(t) ** (n - 1)
+        wt = wt * _hls_angular(rho[r, None, None], t, lam, n)
+        lo, hi = edges[owner[r]][..., None], edges[owner[r] + 1][..., None]
+        x = (2.0 * t - lo - hi) / (hi - lo)
+        moments = np.stack(
+            [np.sum(wt * Legendre.basis(k)(x), axis=-1) for k in range(order)], axis=-1
+        )
+        weights = np.einsum("iqk,iqkj->iqj", moments, to_nodes[owner[r]])
+        cols = owner[r, :, None] * order + np.arange(order)
+        np.add.at(out, (np.arange(size)[r, None, None], cols), weights)
+    return out
+
+
+class TestHLSForm:
+    @pytest.mark.parametrize(
+        "n,lam,size,tol",
+        [
+            (3, 1.0, 288, 1e-15),
+            (3, 1.9, 288, 1e-15),
+            (3, 1.9, 768, 1e-15),
+            # neighbouring panel widths differ by 6.3x and 9.8x here, so
+            # the neighbour pieces take 9 levels; 8 would miss by 1.5e-15
+            # and 7e-14
+            (3, 1.99, 96, 1e-15),
+            (3, 1.9, 1536, 1e-15),
+            # scipy's 2F1 near w = 1 sets these
+            (4, 1.0, 144, 1e-12),
+            (4, 2.5, 96, 1e-12),
+            (5, 1.0, 96, 1e-12),
+        ],
+    )
+    def test_band_matches_the_full_depth_rule(self, n, lam, size, tol):
+        grid = make_radial_grid(rho_max=3.0, num_nodes=size)
+        got = inequalities._hls_band(grid, lam, n)
+        want = _band_full_depth(grid, lam, n)
+        err = np.max(np.abs(got - want), axis=1) / np.sum(np.abs(want), axis=1)
+        assert np.max(err) < tol
+
+    def test_recurrence_moments_match_legendre_basis(self):
+        rng = np.random.default_rng(7)
+        wt = rng.standard_normal((5, 2, 40))
+        x = rng.uniform(-1.0, 1.0, (5, 2, 40))
+        got = inequalities._legendre_moments(wt, x)
+        want = np.stack(
+            [np.sum(wt * Legendre.basis(k)(x), axis=-1) for k in range(radial._GRID_ORDER)],
+            axis=-1,
+        )
+        scale = np.sum(np.abs(wt), axis=-1, keepdims=True)
+        assert np.max(np.abs(got - want) / scale) < 1e-15
+
+    def test_one_build_per_grid_and_exponent(self, monkeypatch):
+        builds = []
+        band = inequalities._hls_band
+
+        def spy(grid, lam, n):
+            builds.append((grid, lam, n))
+            return band(grid, lam, n)
+
+        monkeypatch.setattr(inequalities, "_hls_band", spy)
+        inequalities._hls_form.cache_clear()
+        cli._hls_battery(cli.RunConfig(), None)
+        assert len(builds) == 1
+        inequalities._hls_form.cache_clear()
+        estimate_best_constant(InequalitySpec("hls", n=3, lambda_exp=1.0), (0.2, 0.1, 0.05))
+        assert len(builds) == 2
+
+        grid = make_radial_grid(rho_max=3.0, num_nodes=96)
+        f = RadialFunction(grid, np.exp(-(grid.nodes**2)), 3)
+        g = hls_trial_family(0.3, 3, 1.0, grid=grid)
+        first = hls_bilinear(f, g, 1.0)
+        hls_bilinear(g, f, 1.0)
+        assert len(builds) == 3
+        other_lam = hls_bilinear(f, g, 0.5)
+        assert len(builds) == 4
+        twin = make_radial_grid(rho_max=3.0, num_nodes=96)
+        again = hls_bilinear(
+            RadialFunction(twin, f.values, 3), RadialFunction(twin, g.values, 3), 1.0
+        )
+        assert len(builds) == 5
+        inequalities._hls_form.cache_clear()
+        assert hls_bilinear(f, g, 0.5) == other_lam
+        assert again == first
+
+        form = inequalities._hls_form(grid, 0.5, 3)
+        assert not form.flags.writeable
+        with pytest.raises(ValueError):
+            form[0, 0] = 0.0
+
+    def test_angular_entries_of_one_build(self, monkeypatch):
+        # a count, not a timing: 38k far pairs and 129k band entries,
+        # where four full-depth band pieces took 213k in all
+        entries = []
+        angular = inequalities._hls_angular
+
+        def counting(r, s, lam, n):
+            entries.append(np.broadcast(r, s).size)
+            return angular(r, s, lam, n)
+
+        monkeypatch.setattr(inequalities, "_hls_angular", counting)
+        inequalities._hls_form.cache_clear()
+        grid = make_radial_grid(rho_max=3.0, num_nodes=288)
+        f = RadialFunction(grid, np.exp(-(grid.nodes**2)), 3)
+        hls_bilinear(f, f, 1.0)
+        assert 0 < sum(entries) < 1.8e5
+        assert max(entries) <= radial._BLOCK_ENTRIES
 
 
 class TestConvolutionBound:
