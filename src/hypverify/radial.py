@@ -10,7 +10,7 @@ rotation-invariant pairing
 
 reduced to a double integral over the radius of y and the angle between
 x and y.  Every angular integral, of a kernel given as a callable or of
-grid samples interpolated by a spline, goes through one rule: a
+grid samples interpolated panel by panel, goes through one rule: a
 Gauss-Legendre rule under a sinh map that crowds its nodes toward
 angle 0, where singular kernels concentrate, only as far for each pair
 of radii as the gap between them requires.  The angular
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from numpy.polynomial.legendre import legder, legvander
 from scipy.special import roots_legendre
 
 
@@ -149,20 +149,120 @@ def lp_norm(values, grid: Grid, n: int, p: float) -> float:
     return float(integrate_radial(np.abs(values) ** p, grid, n)) ** (1.0 / p)
 
 
+def _panel_edges(grid: Grid) -> np.ndarray:
+    # edges of the composite Gauss-Legendre panels of ``grid``, each panel's
+    # width read off the sum of its weights; ValueError unless the panels
+    # carry _GRID_ORDER nodes each, tile [0, top], and rebuild the grid's
+    # nodes and weights
+    if grid.size % _GRID_ORDER:
+        raise ValueError(f"the grid must consist of {_GRID_ORDER}-node panels")
+    width = grid.weights.reshape(-1, _GRID_ORDER).sum(axis=1)
+    edges = np.concatenate([[0.0], np.cumsum(width)])
+    nodes, weights = _panel_nodes(edges, _GRID_ORDER)
+    scale = np.repeat(width, _GRID_ORDER)
+    if (
+        abs(edges[-1] - grid.top) > 1e-12 * grid.top
+        or np.any(np.abs(nodes - grid.nodes) > 1e-10 * scale)
+        or np.any(np.abs(weights - grid.weights) > 1e-10 * scale)
+    ):
+        raise ValueError(
+            f"the grid is not a Gauss-Legendre rule of {_GRID_ORDER}-node panels on [0, top]"
+        )
+    return edges
+
+
+@lru_cache(maxsize=None)
+def _legendre_projection():
+    # 8 x 8 matrix taking the values at a panel's Gauss nodes to the
+    # Legendre coefficients of their interpolant: c_k = (2k+1)/2 sum_j
+    # w_j P_k(x_j) v_j, exact since the rule integrates P_k P_m (k, m < 8)
+    x, w = _legendre_rule(_GRID_ORDER)
+    proj = legvander(x, _GRID_ORDER - 1) * w[:, None] * (np.arange(_GRID_ORDER) + 0.5)
+    proj.flags.writeable = False
+    return proj
+
+
+def _panel_interpolant(coef, dcoef, edges, rho, panel):
+    # the degree-7 polynomial with Legendre coefficients coef[panel] on
+    # each [edges[panel], edges[panel + 1]], and its rho-derivative (from
+    # the coefficients dcoef of its x-derivative), at rho
+    mid = 0.5 * (edges[panel] + edges[panel + 1])
+    half = 0.5 * (edges[panel + 1] - edges[panel])
+    basis = legvander((rho - mid) / half, _GRID_ORDER - 1)
+    g = np.einsum("ij,ij->i", basis, coef[panel])
+    dg = np.einsum("ij,ij->i", basis[:, :-1], dcoef[panel]) / half
+    return g, dg
+
+
+# Table points per unit of log rho in ``as_callable``.  Cubic Hermite on
+# a step h in s = log rho misses g by at most h^4/384 max |d^4 g / ds^4|.
+# Where g varies like exp(phi(s)) with log-slope q = rho g'/g, the fourth
+# s-derivative is about q^4 g, a relative error of (q h)^4 / 384.  The
+# frac resolvents with s = 1.2 fall like e^(-2.2 rho), q = -27 at
+# rho = 12: 1.7e-11 at h = 1/3000 (1.1e-11 measured at the nodes of an
+# 896-node grid), below the 4e-11 of the panel interpolant itself on 640
+# nodes; 1000 points per unit would add 1e-9 (measured 9e-10).  heat(0.5)
+# reaches q = -144 at rho = 12 (1.4e-8), where its interpolant on 640
+# nodes is 1.5e-4 off and the kernel is e^-72 of its peak.  Near 0,
+# q = -0.2 for rho^-0.2, which a table uniform in rho cannot follow
+_TABLE_DENSITY = 3000
+
+
 def as_callable(values, grid: Grid):
     """Interpolate grid samples as a function of distance.
 
-    Cubic spline in the variable cosh(rho), in which smooth radial
-    (hence even) profiles are smooth; evaluates to 0 beyond rho_max.
+    On each 8-node panel of the grid the samples define a degree-7
+    polynomial in rho, exact at the nodes and graded like the grid.  That
+    piecewise polynomial is tabulated once, with its derivative, on
+    points uniform in log rho (3000 per unit, about 47 000 for a grid on
+    [0, 12]; a step across a panel edge takes the panel on its right) and
+    read back by cubic Hermite interpolation: one log and four gathers
+    per point.  It is constant below the first node and 0 beyond
+    rho_max.  On 896 nodes to rho = 12, exp(-rho^2/2) is reproduced to
+    5e-15 at the nodes and 3.3e-13 between them, and the rho^-0.2
+    profile frac_resolvent_h3(rho, 1.2, 1.4) to 1.1e-11 at the nodes and
+    7.9e-11 between them (pointwise relative, from rho = 1e-4 on: no
+    polynomial on the first panel, [0, 1e-4], follows rho^-0.2).  Raises
+    ValueError when ``values`` is not sampled on the grid nodes or the
+    grid is not a composite 8-node Gauss-Legendre rule on [0, rho_max].
     """
-    x = np.cosh(grid.nodes)
-    spline = CubicSpline(x, np.asarray(values, dtype=float))
-    x_lo, x_hi = x[0], x[-1]
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.nodes.shape:
+        raise ValueError("values must be sampled on the grid nodes")
+    edges = _panel_edges(grid)
+    lo, top = float(grid.nodes[0]), grid.top
+    s0 = math.log(lo)
+    steps = max(1, math.ceil(_TABLE_DENSITY * (math.log(top) - s0)))
+    h = (math.log(top) - s0) / steps
+    rho = np.exp(s0 + h * np.arange(steps + 1))
+    # each panel's interpolant of the samples, in Legendre coefficients
+    coef = values.reshape(-1, _GRID_ORDER) @ _legendre_projection()
+    dcoef = legder(coef, axis=1)
+    panel = np.clip(np.searchsorted(edges, rho, side="right") - 1, 0, coef.shape[0] - 1)
+    g, dg = _panel_interpolant(coef, dcoef, edges, rho, panel)
+    # a step across a panel edge takes both ends from the panel on its
+    # right, so that no step mixes two polynomials (the first panel's
+    # cannot follow rho^-0.2, and its slope at 1e-4 is far off)
+    g_lo, dg_lo = g[:-1].copy(), dg[:-1].copy()
+    cross = np.flatnonzero(panel[:-1] != panel[1:])
+    g_lo[cross], dg_lo[cross] = _panel_interpolant(
+        coef, dcoef, edges, rho[cross], panel[cross + 1]
+    )
+    # Hermite cubic c0 + c1 t + c2 t^2 + c3 t^3 on each step, t in [0, 1],
+    # with the slopes h dg/ds = h rho dg/drho at both ends
+    m_lo = h * rho[:-1] * dg_lo
+    m_hi = h * rho[1:] * dg[1:]
+    dv = g[1:] - g_lo
+    c0, c1, c2, c3 = g_lo, m_lo, 3.0 * dv - 2.0 * m_lo - m_hi, m_lo + m_hi - 2.0 * dv
+    inv_h = 1.0 / h
 
-    def evaluate(rho):
-        u = np.cosh(np.asarray(rho, dtype=float))
-        out = spline(np.clip(u, x_lo, x_hi))
-        return np.where(u > x_hi, 0.0, out)
+    def evaluate(r):
+        r = np.asarray(r, dtype=float)
+        u = (np.log(np.clip(r, lo, top)) - s0) * inv_h
+        k = np.minimum(u.astype(np.intp), steps - 1)
+        t = u - k
+        out = ((c3[k] * t + c2[k]) * t + c1[k]) * t + c0[k]
+        return np.where(r > top, 0.0, out)
 
     return evaluate
 
@@ -405,18 +505,19 @@ def convolve_with_kernel(f_values, kernel, grid: Grid, n: int) -> np.ndarray:
 def radial_convolution(f_values, g_values, grid: Grid, n: int) -> np.ndarray:
     """Convolution of two radial profiles sampled on the same grid.
 
-    g is interpolated by ``as_callable`` (a cubic spline in cosh rho,
-    0 beyond rho_max) and convolved with f by ``convolve_with_kernel``,
-    on the same per-pair angular rule.  The spline, not the angular
-    rule, limits the result.  The spline is not analytic in theta, so
-    against a deep dyadic rule on the same spline the output is only
-    within 2.4e-5 (sup-relative; n = 3, 5 on 120 and 200 nodes), but
-    the spline itself is 12 to 100 times further off: the same
-    convolution with the closed kernel differs by 3.6e-5 to 1.4e-3.
-    heat(0.5) * heat(0.5) on H^3 is 2.1e-4, 2.2e-5 and 3.9e-7 off the
-    closed heat(1) on 120, 200 and 528 nodes on [0, 12].  A kernel
-    known in closed form is better passed to ``convolve_with_kernel``
-    directly.
+    g is interpolated by ``as_callable`` (each panel's degree-7
+    interpolant, tabulated in log rho, 0 beyond rho_max) and convolved
+    with f by ``convolve_with_kernel``, on the same per-pair angular
+    rule.  The interpolant has kinks at panel edges and table steps, so
+    it is not analytic in theta, and the angular rule limits the result
+    on coarse grids: against a 30-level dyadic rule on the same
+    interpolant the output differs by about as much as against the
+    closed kernel.  heat(0.5) * heat(0.5) on H^3 is 2.1e-7, 2.3e-9 and
+    1.4e-12 off the closed heat(1) on 120, 200 and 528 nodes on [0, 12]
+    (sup-relative; 2.0e-6, 4.8e-8 and 9.3e-12 on H^5), where the closed
+    kernel passed to ``convolve_with_kernel`` is at most 1.6e-10 off at
+    120 nodes and 8e-14 at 200.  A kernel known in closed form is better
+    passed directly.
     """
     return convolve_with_kernel(f_values, as_callable(g_values, grid), grid, n)
 

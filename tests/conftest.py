@@ -12,8 +12,9 @@ def grid12():
 @pytest.fixture(scope="session")
 def grid_conv():
     """Grid for convolution checks: small enough that double integrals
-    stay cheap, fine enough that spline interpolation of the second
-    factor stays below the 1e-6 comparison tolerances."""
+    stay cheap, fine enough that the panel interpolant of the second
+    factor keeps radial_convolution within 1.1e-11 of the Abel oracle
+    and 1.3e-11 of the heat semigroup."""
     return make_radial_grid(rho_max=12.0, num_nodes=640)
 
 

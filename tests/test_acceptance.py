@@ -44,6 +44,7 @@ from hypverify.kernels import (
 )
 from hypverify.radial import (
     RadialFunction,
+    as_callable,
     integrate_radial,
     lp_norm,
     make_radial_grid,
@@ -363,8 +364,6 @@ def test_criterion_10_fractional_kernels_and_hardy_identity():
 
 
 def test_criterion_11_qk_inverse_two_routes_and_bound_fit():
-    from scipy.interpolate import CubicSpline
-
     fine = make_radial_grid(rho_max=12.0, num_nodes=896)
     conv = qk_inverse_kernel(fine, 5, 2, route="convolution")
     probe = make_radial_grid(rho_max=5.2, num_nodes=64)
@@ -372,7 +371,7 @@ def test_criterion_11_qk_inverse_two_routes_and_bound_fit():
         probe, 5, 2, route="spectral", lam_max=960.0, num_lam=6144
     )
     win = (probe.nodes >= 0.1) & (probe.nodes <= 5.0)
-    conv_at = CubicSpline(fine.nodes, conv)(probe.nodes[win])
+    conv_at = as_callable(conv, fine)(probe.nodes[win])
     rel = float(np.max(np.abs(conv_at / spect[win] - 1.0)))
     assert rel <= 1e-3
 

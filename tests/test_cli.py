@@ -335,3 +335,32 @@ class TestConstantsCommand:
         )
         assert done.returncode == 0, done.stderr
         assert "102.3832734405829" in done.stdout
+
+
+class TestFreshProcess:
+    def test_never_loads_scipy_interpolate_or_integrate(self, tmp_path):
+        # scipy.interpolate pulls in scipy's linalg, optimize, sparse,
+        # spatial and fft, and a first scipy.integrate import costs 0.17 s;
+        # neither may load in a fresh process, on import or through a
+        # whole battery and an inverse-kernel table
+        script = (
+            "import json, sys\n"
+            "import hypverify\n"
+            "from hypverify.cli import main\n"
+            "out = sys.argv[1]\n"
+            "status = [main(['verify', '--suite', 'all', '--seed', '0', '--outdir', out]),\n"
+            "          main(['tabulate', '--kernel', 'qk-inverse', '--n', '5',\n"
+            "                '--rho', '0.5,1,2', '--outdir', out])]\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'integrate']))\n"
+            "print(json.dumps([status, loaded]))\n"
+        )
+        src = str(Path(hypverify.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        status, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert status == [0, 0]
+        assert loaded == []

@@ -574,6 +574,13 @@ class TestHLSClosedForm:
         with pytest.raises(ValueError, match="8-node panels"):
             hls_bilinear(f, f, 1.0)
 
+    def test_grid_of_gauss_panels_required(self):
+        # 16 nodes, a multiple of 8, but not Gauss-Legendre nodes
+        grid = Grid((np.arange(16) + 0.5) * 0.1875, np.full(16, 0.1875), 3.0)
+        f = RadialFunction(grid, np.exp(-(grid.nodes**2)), 3)
+        with pytest.raises(ValueError, match="8-node panels"):
+            hls_bilinear(f, f, 1.0)
+
 
 def _band_full_depth(grid, lam, n):
     # the band as first written: all four pieces graded ceil(36/(n - lam))
@@ -748,10 +755,11 @@ class TestConvolutionBound:
         assert rep.max_ratio < 1.0
 
     def test_euclidean_composition_identity(self):
-        lhs, rhs = riesz_composition_identity(1.0, 0.8)
-        assert abs(lhs / rhs - 1.0) < 1e-9
-        lhs, rhs = riesz_composition_identity(0.5, 1.7)
-        assert abs(lhs / rhs - 1.0) < 1e-9
+        # fixed Gauss-Jacobi sums: measured 1.6e-15, 6.7e-16, 8.9e-16 and
+        # 1.3e-15 against the gamma ratio
+        for alpha, beta in ((1.0, 0.8), (0.5, 1.7), (2.0, 0.5), (0.3, 0.3)):
+            lhs, rhs = riesz_composition_identity(alpha, beta)
+            assert abs(lhs / rhs - 1.0) < 1e-13, (alpha, beta)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -139,7 +139,8 @@ class TestHeatProperties:
         h10 = heat_kernel(1.0, grid_conv.nodes, 3)
         conv = radial_convolution(h4, h6, grid_conv, 3)
         sel = grid_conv.nodes <= 6.0
-        assert np.max(np.abs(conv[sel] / h10[sel] - 1.0)) < 1e-5
+        # measured 1.3e-11
+        assert np.max(np.abs(conv[sel] / h10[sel] - 1.0)) < 5e-11
 
     def test_positive_and_decreasing(self, grid12):
         for n in (2, 3, 4, 5, 6):
@@ -400,7 +401,11 @@ class TestFracResolventH3:
         fc = frac_resolvent_h3(grid_conv.nodes, 1.2, 2.2)
         conv = radial_convolution(fa, fb, grid_conv, 3)
         sel = (grid_conv.nodes >= 0.1) & (grid_conv.nodes <= 5.0)
-        assert np.max(np.abs(conv[sel] / fc[sel] - 1.0)) < 1e-4
+        # measured 9.4e-6, the same with fb's closed kernel in place of its
+        # interpolant, so the interpolant does not set it; it falls like
+        # N^-2.7 (1.4e-6 at 1280 nodes), as the radial Gauss sum over the
+        # |r - s|^1.8 kink that fb's rho^-0.2 leaves on the diagonal would
+        assert np.max(np.abs(conv[sel] / fc[sel] - 1.0)) < 2e-5
 
     def test_positive(self):
         assert np.all(frac_resolvent_h3(RHO, 0.7, 0.6) > 0)

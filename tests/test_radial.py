@@ -14,6 +14,7 @@ from hypverify import radial
 from hypverify.kernels import (
     _gap_shifts,
     _resolvent_closed_odd,
+    frac_resolvent_h3,
     heat_kernel,
     limiting_green_kernel,
 )
@@ -121,6 +122,29 @@ class TestIntegration:
             lp_norm(vals, grid12, 3, 0.0)
 
 
+def _shift_one(arr, index, by):
+    out = np.array(arr)
+    out[index] += by
+    return out
+
+
+# grids that as_callable must refuse, each built from a 64-node grid on [0, 3]
+_NOT_GAUSS_GRIDS = {
+    # not a multiple of 8 nodes
+    "midpoint": lambda g: Grid((np.arange(100) + 0.5) * 0.03, np.full(100, 0.03), 3.0),
+    # 16 nodes whose weights sum to the panel widths, but not Gauss nodes
+    "uniform": lambda g: Grid((np.arange(16) + 0.5) / 16.0, np.full(16, 1.0 / 16.0), 1.0),
+    # Gauss panels that stop short of top
+    "short": lambda g: Grid(g.nodes, g.weights, 3.5),
+    # one node moved inside its panel
+    "moved_node": lambda g: Grid(_shift_one(g.nodes, 20, 1e-6), g.weights, 3.0),
+    # weight traded between two nodes of one panel, panel sums unchanged
+    "traded_weight": lambda g: Grid(
+        g.nodes, _shift_one(_shift_one(g.weights, 9, 1e-7), 10, -1e-7), 3.0
+    ),
+}
+
+
 class TestInterpolation:
     def test_reproduces_nodes(self, grid12):
         vals = np.exp(-(grid12.nodes**2) / 2.0)
@@ -128,12 +152,60 @@ class TestInterpolation:
         assert np.allclose(f(grid12.nodes), vals, rtol=1e-12, atol=1e-14)
 
     def test_midpoints(self, grid12):
+        # measured 3.1e-13
         vals = np.exp(-(grid12.nodes**2) / 2.0)
         f = as_callable(vals, grid12)
         mid = 0.5 * (grid12.nodes[:-1] + grid12.nodes[1:])
         exact = np.exp(-(mid**2) / 2.0)
         err = np.max(np.abs(f(mid) - exact))
-        assert err < 1e-7
+        assert err < 1e-12
+
+    def test_power_law_profile_at_and_between_nodes(self, grid12):
+        # frac_resolvent_h3(., 1.2, 1.4) behaves like rho^-0.2 at 0 and
+        # like e^(-2.2 rho) far out; pointwise relative, from the end of
+        # the first panel [0, 1e-4] on: measured 1.1e-11 at the nodes and
+        # 7.9e-11 between them
+        rho = grid12.nodes
+        f = as_callable(frac_resolvent_h3(rho, 1.2, 1.4), grid12)
+        at_nodes = f(rho[rho >= 1e-4]) / frac_resolvent_h3(rho[rho >= 1e-4], 1.2, 1.4)
+        assert np.max(np.abs(at_nodes - 1.0)) < 5e-11
+        x = np.geomspace(1e-4, 11.99, 20_000)
+        assert np.max(np.abs(f(x) / frac_resolvent_h3(x, 1.2, 1.4) - 1.0)) < 4e-10
+
+    @pytest.mark.parametrize(
+        "profile, rho_min, coarse_err",
+        [("gaussian", 1e-5, 2e-9), ("power_law", 1e-4, 3e-7)],
+        ids=["gaussian", "power_law"],
+    )
+    def test_spectral_accuracy_under_refinement(self, profile, rho_min, coarse_err):
+        # degree-7 panels: 320 -> 640 nodes lowers the error 200x (Gaussian,
+        # 1.0e-9 -> 4.8e-12, absolute) and 170x (rho^-0.2 profile, 1.7e-7
+        # -> 1.0e-9, relative); a cubic spline gains 16x at best
+        fn = {
+            "gaussian": lambda r: np.exp(-(r**2) / 2.0),
+            "power_law": lambda r: frac_resolvent_h3(r, 1.2, 1.4),
+        }[profile]
+        x = np.geomspace(rho_min, 11.99, 20_000)
+        errs = []
+        for num_nodes in (320, 640):
+            grid = make_radial_grid(rho_max=12.0, num_nodes=num_nodes)
+            got = as_callable(fn(grid.nodes), grid)(x)
+            scale = 1.0 if profile == "gaussian" else fn(x)
+            errs.append(np.max(np.abs(got - fn(x)) / scale))
+        assert errs[0] < coarse_err
+        assert errs[1] < errs[0] / 100.0
+
+    def test_rejects_values_off_the_grid(self, grid12):
+        with pytest.raises(ValueError, match="grid nodes"):
+            as_callable(np.ones(grid12.size - 1), grid12)
+        with pytest.raises(ValueError, match="grid nodes"):
+            as_callable(np.ones((2, grid12.size)), grid12)
+
+    @pytest.mark.parametrize("case", sorted(_NOT_GAUSS_GRIDS))
+    def test_rejects_grids_that_are_not_composite_gauss(self, case):
+        grid = _NOT_GAUSS_GRIDS[case](make_radial_grid(rho_max=3.0, num_nodes=64))
+        with pytest.raises(ValueError, match="8-node panels"):
+            as_callable(np.ones(grid.size), grid)
 
     def test_zero_beyond_support(self, grid12):
         f = as_callable(np.ones(grid12.size), grid12)
@@ -218,7 +290,8 @@ class TestConvolution:
             f, lambda r: -np.exp(-2.0 * (np.cosh(r) - 1.0)) / 2.0, grid_conv
         )
         err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-        assert err < 1e-6
+        # measured 1.1e-11
+        assert err < 3e-11
 
     def test_symmetry(self, grid_conv):
         rho = grid_conv.nodes
@@ -228,8 +301,8 @@ class TestConvolution:
         gf = radial_convolution(g, f, grid_conv, 3)
         scale = np.max(np.abs(fg))
         # both orders interpolate one factor, so symmetry holds to the
-        # spline resolution, not to machine precision
-        assert np.max(np.abs(fg - gf)) / scale < 1e-6
+        # interpolant's resolution, not to machine precision: 4.3e-12
+        assert np.max(np.abs(fg - gf)) / scale < 1e-11
 
     def test_dimension_two_works(self, grid_conv):
         # n = 2 has sin^0 angular weight; just exercise the path
@@ -248,13 +321,14 @@ class TestConvolution:
             f, lambda d: np.exp(-2.0 * (np.cosh(d) - 1.0)), grid_conv, 3
         )
         scale = np.max(np.abs(via_grid))
-        assert np.max(np.abs(via_grid - via_kernel)) / scale < 1e-6
+        # measured 4.4e-12
+        assert np.max(np.abs(via_grid - via_kernel)) / scale < 1e-11
 
-    @pytest.mark.parametrize("num_nodes, tol", [(160, 2e-3), (480, 2e-5)], ids=["160", "480"])
+    @pytest.mark.parametrize("num_nodes, tol", [(160, 2e-4), (480, 3e-8)], ids=["160", "480"])
     def test_narrow_kernel_against_abel_oracle(self, num_nodes, tol):
         # a narrow g varies on angles ~1e-5 at the outer radii, which the
-        # graded rule resolves; the spline of g sets the error (8.2e-4 at
-        # 160 nodes, 8.1e-6 at 480)
+        # graded rule resolves; the interpolant of g sets the error (1.1e-4
+        # at 160 nodes, 1.4e-8 at 480)
         grid = make_radial_grid(rho_max=12.0, num_nodes=num_nodes)
         rho = grid.nodes
         f = np.exp(-rho)
@@ -264,13 +338,13 @@ class TestConvolution:
 
     def test_heat_pair_is_pointwise_accurate_at_large_radius(self):
         # each output against its own value, where heat(1) falls from 4e-6
-        # to 3e-20 of its peak: 4.4e-5 at worst on [6, 12]
+        # to 3e-20 of its peak: 1.7e-8 at worst on [6, 12]
         grid = make_radial_grid(rho_max=14.0, num_nodes=640)
         half = heat_kernel(0.5, grid.nodes, 3)
         got = radial_convolution(half, half, grid, 3)
         win = (grid.nodes >= 6.0) & (grid.nodes <= 12.0)
         want = heat_kernel(1.0, grid.nodes[win], 3)
-        assert np.max(np.abs(got[win] / want - 1.0)) < 1e-4
+        assert np.max(np.abs(got[win] / want - 1.0)) < 3e-8
 
     def test_singular_kernel_against_oracle(self, grid_conv):
         # kernel 1/(2 sinh(d/2)) is singular at d = 0; its product with
@@ -313,10 +387,10 @@ _KERNELS = {
 }
 
 
-# 1.1 times the 15-level dyadic rule's error for each (n, num_nodes)
+# 1.5 times the measured error for each (n, num_nodes)
 _HEAT_PAIR_BOUNDS = {
-    (3, 120): 2.33e-4, (3, 200): 2.45e-5, (3, 528): 4.30e-7,
-    (5, 120): 7.95e-4, (5, 200): 9.00e-5, (5, 528): 1.69e-6,
+    (3, 120): 3.2e-7, (3, 200): 3.5e-9, (3, 528): 2.1e-12,
+    (5, 120): 3.0e-6, (5, 200): 7.2e-8, (5, 528): 1.4e-11,
 }
 
 
@@ -354,11 +428,11 @@ class TestSymmetricAssembly:
     @pytest.mark.parametrize("num_nodes", [120, 200, 528])
     @pytest.mark.parametrize("n", [3, 5])
     def test_radial_convolution_heat_pair_against_closed_heat(self, n, num_nodes):
-        # the spline of g is not analytic in theta, so no angular rule gets
-        # it to 1e-14; what users see is the error against a closed form.
-        # heat(0.5) * heat(0.5) = heat(1), sup-relative on [0, 12]: measured
-        # 2.11e-4, 2.23e-5, 3.89e-7 (n = 3) and 7.22e-4, 8.18e-5, 1.50e-6
-        # (n = 5) on 120, 200, 528 nodes
+        # the interpolant of g is not analytic in theta, so no angular rule
+        # gets it to 1e-14; what users see is the error against a closed
+        # form.  heat(0.5) * heat(0.5) = heat(1), sup-relative on [0, 12]:
+        # measured 2.14e-7, 2.32e-9, 1.39e-12 (n = 3) and 1.98e-6, 4.77e-8,
+        # 9.25e-12 (n = 5) on 120, 200, 528 nodes
         bound = _HEAT_PAIR_BOUNDS[n, num_nodes]
         grid = make_radial_grid(rho_max=12.0, num_nodes=num_nodes)
         half = heat_kernel(0.5, grid.nodes, n)
