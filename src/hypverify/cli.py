@@ -241,12 +241,17 @@ def _resolvent_closed(cfg, rng):
     return worst, 0.0
 
 
+def _product_closed(rho):
+    # (cosh rho - 1) / (8 pi^2 sinh^3 rho), the closed form of the H^5
+    # product kernel, with cosh rho - 1 = 2 sinh^2(rho/2) so that it does
+    # not cancel at small rho
+    return 2.0 * np.sinh(0.5 * rho) ** 2 / (8.0 * math.pi**2 * np.sinh(rho) ** 3)
+
+
 def _product_identity(cfg, rng):
     rr = np.geomspace(0.05, 15.0, 64)
     got = kernels.product_resolvent_h5(-4.0, -3.0, rr)
-    # stable form of (cosh rho - 1) / (8 pi^2 sinh^3 rho)
-    want = 2.0 * np.sinh(0.5 * rr) ** 2 / (8.0 * math.pi**2 * np.sinh(rr) ** 3)
-    return float(np.max(np.abs(got / want - 1.0))), 0.0
+    return float(np.max(np.abs(got / _product_closed(rr) - 1.0))), 0.0
 
 
 def _product_bound(cfg, rng):
@@ -603,8 +608,8 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _default_outdir(cfg: RunConfig) -> str:
-    return cfg.outdir or os.environ.get("HYPVERIFY_OUTDIR", ".")
+def _default_outdir(outdir: str | None) -> str:
+    return outdir or os.environ.get("HYPVERIFY_OUTDIR", ".")
 
 
 _HEADER = ("check_id", "anchor", "lhs", "rhs", "tol", "rel_err", "pass")
@@ -613,7 +618,7 @@ _HEADER = ("check_id", "anchor", "lhs", "rhs", "tol", "rel_err", "pass")
 def _write_report(rows, cfg: RunConfig) -> str:
     path = cfg.out_path
     if path is None:
-        path = os.path.join(_default_outdir(cfg), f"report_{cfg.suite}.{cfg.fmt}")
+        path = os.path.join(_default_outdir(cfg.outdir), f"report_{cfg.suite}.{cfg.fmt}")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     rows = sorted(rows, key=lambda r: r.check_id)
     if cfg.fmt == "csv":
@@ -712,10 +717,11 @@ def tabulate_kernel(kind: str, rho_list, n: int, out_path: str | None = None,
             ref = 1.0 / (4.0 * math.pi * np.sinh(rho))
     elif kind == "product-resolvent":
         vals = kernels.product_resolvent_h5(-4.0, -3.0, rho)
-        ref = (np.cosh(rho) - 1.0) / (8.0 * math.pi**2 * np.sinh(rho) ** 3)
+        ref = _product_closed(rho)
     else:
-        grid = radial.make_radial_grid(rho_max=float(np.max(rho)) * 1.2 + 1.0,
-                                       num_nodes=512)
+        # the convolution route truncates the kernel at the grid's end,
+        # which must lie well beyond the largest rho asked for
+        grid = radial.make_radial_grid(rho_max=float(np.max(rho)) + 6.0, num_nodes=512)
         order = 2 if n >= 5 else 1
         conv = kernels.qk_inverse_kernel(grid, n, order, route="convolution")
         spect = kernels.qk_inverse_kernel(grid, n, order, route="spectral")
@@ -724,8 +730,7 @@ def tabulate_kernel(kind: str, rho_list, n: int, out_path: str | None = None,
 
     path = out_path
     if path is None:
-        base = outdir or os.environ.get("HYPVERIFY_OUTDIR", ".")
-        path = os.path.join(base, f"kernel_{kind}.csv")
+        path = os.path.join(_default_outdir(outdir), f"kernel_{kind}.csv")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
-from scipy.special import beta, hyp2f1, roots_jacobi
+from scipy.special import beta, hyp2f1
 
 from hypverify.kernels import qk_inverse_kernel
 from hypverify.radial import (
@@ -57,8 +57,8 @@ from hypverify.radial import (
     Grid,
     RadialFunction,
     _blocks,
+    _gauss_jacobi,
     _graded_integrals,
-    _legendre_rule,
     _panel_edges,
     _panel_nodes,
     integrate_radial,
@@ -783,14 +783,14 @@ def _riesz_half_line(a: float, beta: float) -> float:
     # (1-r)^(beta-1)
     q = _RIESZ_NODES
     b1 = beta - 1.0
-    x, w = roots_jacobi(q, 0.0, a - 1.0)
+    x, w = _gauss_jacobi(q, 0.0, a - 1.0)
     r = 0.25 * (1.0 + x)
     bracket = (1.0 - r) ** b1 * np.expm1(2.0 * b1 * np.arctanh(r)) / (b1 * r)
     inner = 0.25**a * float(w @ bracket)
-    x, w = _legendre_rule(q)
+    x, w = _gauss_jacobi(q, 0.0, 0.0)
     r = 0.75 + 0.25 * x
     plus = 0.25 * float(w @ (r ** (a - 2.0) * (1.0 + r) ** b1))
-    x, w = roots_jacobi(q, b1, 0.0)
+    x, w = _gauss_jacobi(q, b1, 0.0)
     r = 0.75 + 0.25 * x
     minus = 0.25**beta * float(w @ r ** (a - 2.0))
     return inner + (plus - minus) / b1

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import legder, legvander
-from scipy.special import roots_legendre
+from scipy.special import roots_jacobi, roots_legendre
 
 
 def sphere_area(n: int) -> float:
@@ -73,14 +73,19 @@ _GRID_ORDER = 8
 _RADIAL_INNER = 1e-4
 
 
-@lru_cache(maxsize=None)
-def _legendre_rule(order: int):
-    # Gauss-Legendre nodes and weights on [-1, 1], read-only since shared.
-    # Cached and built on first use: the angular rule is rebuilt for every
-    # depth group, each depth has its own order (all 45 orders together
-    # take 0.05-0.09 s), and scipy's eigenvalue solve took half the time
-    # of the power-kernel bound's 48 probes when it was not cached
-    x, w = roots_legendre(order)
+@lru_cache(maxsize=128)
+def _gauss_jacobi(num: int, a: float, b: float):
+    # Gauss-Jacobi nodes and weights on [-1, 1] for the weight
+    # (1-x)^a (1+x)^b, Gauss-Legendre at a = b = 0: every Gauss rule of
+    # the package, read-only since shared.  Cached: the angular rule is
+    # asked for once per depth group of every convolution, and uncached,
+    # scipy's eigenvalue solve took half the time of the power-kernel
+    # bound's 48 probes.  A seed-0 battery builds 50 distinct rules (45
+    # Legendre orders, 0.05-0.09 s in all), so 128 entries never evict
+    if a == 0.0 and b == 0.0:
+        x, w = roots_legendre(num)
+    else:
+        x, w = roots_jacobi(num, a, b)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -88,7 +93,7 @@ def _legendre_rule(order: int):
 
 def _panel_nodes(bounds: np.ndarray, order: int):
     # composite Gauss-Legendre rule, ``order`` nodes on each [bounds[i], bounds[i+1]]
-    x, w = _legendre_rule(order)
+    x, w = _gauss_jacobi(order, 0.0, 0.0)
     lo = bounds[:-1]
     hi = bounds[1:]
     mid = 0.5 * (lo + hi)
@@ -176,7 +181,7 @@ def _legendre_projection():
     # 8 x 8 matrix taking the values at a panel's Gauss nodes to the
     # Legendre coefficients of their interpolant: c_k = (2k+1)/2 sum_j
     # w_j P_k(x_j) v_j, exact since the rule integrates P_k P_m (k, m < 8)
-    x, w = _legendre_rule(_GRID_ORDER)
+    x, w = _gauss_jacobi(_GRID_ORDER, 0.0, 0.0)
     proj = legvander(x, _GRID_ORDER - 1) * w[:, None] * (np.arange(_GRID_ORDER) + 0.5)
     proj.flags.writeable = False
     return proj
@@ -419,7 +424,7 @@ def _theta_sinh(n: int, depth: int):
     # the real tau axis, whatever its depth, so the nodes grow only with
     # the length T = asinh(pi / theta_m) of the tau interval
     theta_m = math.pi * 2.0**-depth
-    x, w = _legendre_rule(16 + 5 * depth)
+    x, w = _gauss_jacobi(16 + 5 * depth, 0.0, 0.0)
     half = 0.5 * math.asinh(math.pi / theta_m)
     tau = half * (x + 1.0)
     theta = theta_m * np.sinh(tau)

@@ -54,10 +54,10 @@ import math
 from collections import OrderedDict
 
 import numpy as np
-from scipy.special import loggamma, roots_jacobi, roots_legendre
+from scipy.special import loggamma
 
 from hypverify.exact import evaluate_rows, ladder
-from hypverify.radial import _theta_graded, sphere_area
+from hypverify.radial import _gauss_jacobi, _theta_graded, sphere_area
 
 # Lanczos approximation, g = 7, 9 terms: relative error < 1e-13 on the
 # right half plane after reflection.
@@ -170,31 +170,14 @@ def _mehler_constant(n: int) -> float:
     )
 
 
-_JACOBI_RULES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 # doubles per temporary of the cosine sums in ``_jacobi_entries``
 _JACOBI_BLOCK = 1 << 15
 
 
-def _jacobi_rule(num: int, n: int):
-    # nodes/weights on [-1, 1] for the weight (1-x)^((n-3)/2)
-    key = (num, n)
-    rule = _JACOBI_RULES.get(key)
-    if rule is None:
-        alpha = 0.5 * (n - 3)
-        if alpha == 0.0:
-            rule = roots_legendre(num)
-        else:
-            rule = roots_jacobi(num, alpha, 0.0)
-        _JACOBI_RULES[key] = rule
-        if len(_JACOBI_RULES) > 32:
-            _JACOBI_RULES.pop(next(iter(_JACOBI_RULES)))
-    return rule
-
-
-def _node_count(lam_max: float, rho_max: float) -> int:
+def _node_count(phase: float) -> int:
     # total phase of cos(lambda s/2) is lambda rho/2 and the phase is
     # linear in s, so ~phase/2 Jacobi nodes suffice; pad by half again
-    return max(48, int(0.375 * lam_max * rho_max) + 40)
+    return max(48, int(0.375 * phase) + 40)
 
 
 def _log_sinh(z: np.ndarray) -> np.ndarray:
@@ -207,8 +190,8 @@ def _phi_envelope(rho: np.ndarray, n: int, num: int):
 
     rho: (M,) strictly positive.  Returns s, E of shape (M, num).
     """
-    x, w = _jacobi_rule(num, n)
     alpha = 0.5 * (n - 3)
+    x, w = _gauss_jacobi(num, alpha, 0.0)
     s = 0.5 * rho[:, None] * (x[None, :] + 1.0)
     a = 0.5 * (rho[:, None] + s)
     q = 0.5 * (rho[:, None] - s)
@@ -236,7 +219,7 @@ def _jacobi_entries(lam: np.ndarray, rho: np.ndarray, cols: np.ndarray, n: int) 
     if not lam.size:
         return out
     used, inv = np.unique(cols, return_inverse=True)
-    num = _node_count(float(np.max(np.abs(lam) * rho[cols])), 1.0)
+    num = _node_count(float(np.max(np.abs(lam) * rho[cols])))
     s, env = _phi_envelope(rho[used], n, num)
     step = max(1, _JACOBI_BLOCK // num)
     for i in range(0, lam.size, step):
@@ -244,17 +227,6 @@ def _jacobi_entries(lam: np.ndarray, rho: np.ndarray, cols: np.ndarray, n: int) 
         out[i : i + step] = np.einsum(
             "mk,mk->m", np.cos(0.5 * lam[i : i + step, None] * s[j]), env[j]
         )
-    return out
-
-
-def _phi_rows(lam: np.ndarray, rho: np.ndarray, n: int, num: int) -> np.ndarray:
-    out = np.empty((lam.size, rho.size))
-    pos = rho > 0.0
-    if np.any(pos):
-        s, env = _phi_envelope(rho[pos], n, num)
-        for i, l in enumerate(lam):
-            out[i, pos] = np.einsum("mk,mk->m", np.cos(0.5 * l * s), env)
-    out[:, ~pos] = 1.0
     return out
 
 
@@ -550,7 +522,6 @@ def phi_matrix(lam, rho, n: int) -> np.ndarray:
         _PHI_CACHE.move_to_end(key)
         return hit
 
-    rho_max = float(np.max(rho))
     odd = n % 2 == 1 and 3 <= n <= _CLOSED_FORM_MAX_N
     if odd:
         radial_rows = _odd_radial_rows(rho, n)
@@ -564,8 +535,10 @@ def phi_matrix(lam, rho, n: int) -> np.ndarray:
         elif n in _HC_MIN_RHO:
             out[s : s + block.size] = _phi_rows_even(block, rho, n, bands)
         else:
-            num = _node_count(float(np.max(np.abs(block))), rho_max)
-            out[s : s + block.size] = _phi_rows(block, rho, n, num)
+            rows = out[s : s + block.size]
+            rows[:, rho == 0.0] = 1.0
+            i, j = np.nonzero(np.broadcast_to(rho > 0.0, rows.shape))
+            rows[i, j] = _jacobi_entries(block[i], rho, j, n)
     out.flags.writeable = False
     _PHI_CACHE[key] = out
     if len(_PHI_CACHE) > _PHI_CACHE_MAX:

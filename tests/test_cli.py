@@ -93,19 +93,28 @@ class TestVerifyReports:
               "--out", str(tmp_path / "r.csv")])
         assert "5/5 checks passed" in capsys.readouterr().out
 
-    def test_outdir_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPVERIFY_OUTDIR", str(tmp_path))
-        code = main(["verify", "--suite", "constants"])
-        assert code == 0
-        assert (tmp_path / "report_constants.csv").exists()
+    # both commands write to --outdir, else $HYPVERIFY_OUTDIR, else .
+    OUTDIR_COMMANDS = {
+        "verify": (["verify", "--suite", "constants"], "report_constants.csv"),
+        "tabulate": (["tabulate", "--kernel", "green", "--rho", "1.0"], "kernel_green.csv"),
+    }
 
-    def test_outdir_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPVERIFY_OUTDIR", str(tmp_path / "env"))
-        code = main(["verify", "--suite", "constants",
-                     "--outdir", str(tmp_path / "flag")])
+    @pytest.mark.parametrize("command", OUTDIR_COMMANDS)
+    def test_outdir_env_var(self, tmp_path, monkeypatch, command):
+        argv, name = self.OUTDIR_COMMANDS[command]
+        monkeypatch.setenv("HYPVERIFY_OUTDIR", str(tmp_path))
+        code = main(argv)
         assert code == 0
-        assert (tmp_path / "flag" / "report_constants.csv").exists()
-        assert not (tmp_path / "env" / "report_constants.csv").exists()
+        assert (tmp_path / name).exists()
+
+    @pytest.mark.parametrize("command", OUTDIR_COMMANDS)
+    def test_outdir_flag_beats_env(self, tmp_path, monkeypatch, command):
+        argv, name = self.OUTDIR_COMMANDS[command]
+        monkeypatch.setenv("HYPVERIFY_OUTDIR", str(tmp_path / "env"))
+        code = main([*argv, "--outdir", str(tmp_path / "flag")])
+        assert code == 0
+        assert (tmp_path / "flag" / name).exists()
+        assert not (tmp_path / "env" / name).exists()
 
     def test_failing_rows_exit_nonzero_but_report_written(
         self, tmp_path, monkeypatch, capsys
@@ -295,6 +304,26 @@ class TestTabulate:
                      "--rho", "1.0", "--out", str(tmp_path / "p.csv")])
         assert code == 2
         assert "dimension 5" in capsys.readouterr().err
+
+    def test_product_reference_does_not_cancel(self, tmp_path):
+        # the closed form (cosh rho - 1) / (8 pi^2 sinh^3 rho) ~ 1/(16 pi^2 rho)
+        # must be evaluated without the cancellation of cosh rho - 1
+        path = tabulate_kernel("product-resolvent", [1e-7], 5, out_path=str(tmp_path / "p.csv"))
+        with open(path) as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert abs(float(row["reference"]) * 16.0 * math.pi**2 * 1e-7 - 1.0) < 1e-12
+
+    def test_qk_inverse_grid_reaches_past_the_largest_rho(self, tmp_path):
+        # the convolution route truncates the kernel at the grid's end,
+        # which must lie far enough beyond the largest rho
+        out = tmp_path / "q.csv"
+        code = main(["tabulate", "--kernel", "qk-inverse", "--n", "5",
+                     "--rho", "0.5,1,2,4", "--out", str(out)])
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert max(float(r["rel_err"]) for r in rows) < 3e-3
 
     def test_negative_rho_rejected(self, tmp_path, capsys):
         code = main(["tabulate", "--kernel", "heat", "--rho", "-1.0",

@@ -3,7 +3,8 @@
 No module imports a name it never uses, no private module-level name of
 the package goes unreferenced, every public function, class and method
 is either reached from the library or the benchmark, or listed as
-user-facing API, and no test sets mpmath's global precision.
+user-facing API, no test sets mpmath's global precision, and only
+``radial`` builds Gauss rules.
 """
 
 import ast
@@ -80,6 +81,45 @@ def test_checker_flags_an_mpmath_precision_assignment():
 @pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("*.py")), ids=lambda p: p.name)
 def test_no_test_sets_mpmath_precision(path):
     assert mpmath_precision_assignments(path.read_text()) == []
+
+
+def gauss_rule_constructors(source: str) -> list[str]:
+    """Gauss-rule constructors a module reaches: scipy's ``roots_*`` and
+    numpy's ``leggauss``, whether imported by name or read as an
+    attribute."""
+
+    def constructor(name: str) -> bool:
+        return name.startswith("roots_") or name == "leggauss"
+
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out.extend((node.lineno, a.name) for a in node.names if constructor(a.name))
+        elif isinstance(node, ast.Attribute) and constructor(node.attr):
+            out.append((node.lineno, node.attr))
+    return [f"{name} (line {line})" for line, name in sorted(out)]
+
+
+def test_checker_flags_a_gauss_rule_constructor():
+    source = (
+        "from scipy.special import gamma, roots_jacobi\n"
+        "import scipy.special as sps\nx = sps.roots_legendre(8)\n"
+        "from numpy.polynomial.legendre import leggauss, legvander\n"
+        "y = np.polynomial.legendre.leggauss(4)\nroots = 3\n"
+    )
+    assert gauss_rule_constructors(source) == [
+        "roots_jacobi (line 1)",
+        "roots_legendre (line 3)",
+        "leggauss (line 4)",
+        "leggauss (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "radial.py"],
+                         ids=lambda p: p.name)
+def test_only_radial_builds_gauss_rules(path):
+    # every rule comes from radial._gauss_jacobi, cached and read-only
+    assert gauss_rule_constructors(path.read_text()) == []
 
 
 def _private_definitions(tree: ast.Module):

@@ -6,9 +6,11 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi, roots_legendre
 
 from hypverify import radial
 from hypverify.kernels import (
@@ -68,6 +70,60 @@ class TestGrid:
             Grid(np.array([0.2, 0.1]), np.array([1.0, 1.0]), 1.0)
         with pytest.raises(ValueError):
             Grid(np.array([0.1, 0.2]), np.array([1.0, -1.0]), 1.0)
+
+
+# (num, a, b) of rules the library builds: the radial panels, the
+# deepest angular rule (45 levels, the power-kernel bound's cap), the
+# n = 4 Mehler quadrature, the resolvent's endpoint panels at
+# theta = -1/2 (the limiting Green kernel) and 1/2, and the Riesz
+# half-line rules at beta = 0.8 and a = 3 - alpha - beta = 1.2
+_GAUSS_JACOBI_RULES = [
+    (8, 0.0, 0.0),
+    (241, 0.0, 0.0),
+    (48, 0.5, 0.0),
+    (16, 0.0, -0.5),
+    (16, 0.0, 0.5),
+    (16, -0.2, 0.0),
+    (16, 0.0, 0.2),
+]
+
+
+def _jacobi_moments(kmax: int, a: float, b: float) -> list:
+    # m_k = int_{-1}^{1} x^k (1-x)^a (1+x)^b dx for k <= kmax at 40 digits:
+    # m_0 = 2^(a+b+1) B(a+1, b+1), and integrating the derivative of
+    # x^k (1-x)^(a+1) (1+x)^(b+1) over [-1, 1] gives
+    # (k + a + b + 2) m_(k+1) = k m_(k-1) + (b - a) m_k
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        m = [2 ** (a + b + 1) * mpmath.beta(a + 1, b + 1)]
+        m.append((b - a) * m[0] / (a + b + 2))
+        for k in range(1, kmax):
+            m.append((k * m[k - 1] + (b - a) * m[k]) / (k + a + b + 2))
+        return [float(v) for v in m[: kmax + 1]]
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("num, a, b", _GAUSS_JACOBI_RULES)
+    def test_is_scipys_rule(self, num, a, b):
+        # bit for bit scipy's rule: the builder only caches it
+        x, w = radial._gauss_jacobi(num, a, b)
+        want = roots_legendre(num) if a == b == 0.0 else roots_jacobi(num, a, b)
+        assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
+
+    def test_read_only_and_cached(self):
+        x, w = radial._gauss_jacobi(48, 0.5, 0.0)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        again = radial._gauss_jacobi(48, 0.5, 0.0)
+        assert again[0] is x and again[1] is w
+
+    @pytest.mark.parametrize("num, a, b", _GAUSS_JACOBI_RULES)
+    def test_integrates_monomials_below_twice_the_order(self, num, a, b):
+        x, w = radial._gauss_jacobi(num, a, b)
+        moments = _jacobi_moments(2 * num - 1, a, b)
+        got = np.vander(x, 2 * num, increasing=True).T @ w
+        assert np.max(np.abs(got - moments)) < 1e-13 * moments[0]
 
 
 class TestPanelNodes:
