@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -608,18 +609,18 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _default_outdir(outdir: str | None) -> str:
-    return outdir or os.environ.get("HYPVERIFY_OUTDIR", ".")
+def _output_path(path: str | None, outdir: str | None, name: str) -> str:
+    if path is None:
+        path = os.path.join(outdir or os.environ.get("HYPVERIFY_OUTDIR", "."), name)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
 
 
 _HEADER = ("check_id", "anchor", "lhs", "rhs", "tol", "rel_err", "pass")
 
 
 def _write_report(rows, cfg: RunConfig) -> str:
-    path = cfg.out_path
-    if path is None:
-        path = os.path.join(_default_outdir(cfg.outdir), f"report_{cfg.suite}.{cfg.fmt}")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    path = _output_path(cfg.out_path, cfg.outdir, f"report_{cfg.suite}.{cfg.fmt}")
     rows = sorted(rows, key=lambda r: r.check_id)
     if cfg.fmt == "csv":
         with open(path, "w", newline="") as fh:
@@ -637,8 +638,8 @@ def _write_report(rows, cfg: RunConfig) -> str:
         doc = {"suite": cfg.suite, "seed": cfg.seed, "rows": []}
         for r in rows:
             nums = [num(x) for x in (r.lhs, r.rhs, r.tol, r.rel_err)]
-            fields = [r.check_id, r.anchor, *nums, r.passed]
-            doc["rows"].append(dict(zip(_HEADER, fields)))
+            cells = [r.check_id, r.anchor, *nums, r.passed]
+            doc["rows"].append(dict(zip(_HEADER, cells)))
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
@@ -688,10 +689,11 @@ def tabulate_kernel(kind: str, rho_list, n: int, out_path: str | None = None,
     """Write a CSV table rho, value, reference, rel_err for one kernel.
 
     The reference column holds a closed form when one exists for the
-    requested dimension (heat and the limiting inverse in dimension 3,
-    resolvents in odd dimensions, the product kernel) and the
-    spectral-route value for the inverse kernel, where the table then
-    doubles as a two-route comparison; otherwise it is left empty.
+    requested dimension: heat and the limiting inverse in dimension 3,
+    resolvents in odd dimensions, the product kernel, and the inverse
+    gap-product kernel by the closed partial fractions of its symbol,
+    so that rel_err reads the value's own error.  Otherwise it is left
+    empty.
     """
     rho = np.asarray(list(rho_list), dtype=float)
     if np.any(rho <= 0.0):
@@ -724,31 +726,30 @@ def tabulate_kernel(kind: str, rho_list, n: int, out_path: str | None = None,
         grid = radial.make_radial_grid(rho_max=float(np.max(rho)) + 6.0, num_nodes=512)
         order = 2 if n >= 5 else 1
         conv = kernels.qk_inverse_kernel(grid, n, order, route="convolution")
-        spect = kernels.qk_inverse_kernel(grid, n, order, route="spectral")
         vals = radial.as_callable(conv, grid)(rho)
-        ref = radial.as_callable(spect, grid)(rho)
+        ref = _qk_partial_fractions(rho, n, order)
 
-    path = out_path
-    if path is None:
-        path = os.path.join(_default_outdir(outdir), f"kernel_{kind}.csv")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    path = _output_path(out_path, outdir, f"kernel_{kind}.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rho", "value", "reference", "rel_err"])
         for i in range(rho.size):
-            if ref is None:
-                writer.writerow([_fmt(rho[i]), _fmt(float(vals[i])), "", ""])
-            else:
-                r = float(ref[i])
-                writer.writerow(
-                    [
-                        _fmt(rho[i]),
-                        _fmt(float(vals[i])),
-                        _fmt(r),
-                        _fmt(abs(float(vals[i]) - r) / max(abs(r), _TINY)),
-                    ]
-                )
+            v = float(vals[i])
+            tail = ("", "") if ref is None else (_fmt(float(ref[i])), _fmt(_rel(v, float(ref[i]))))
+            writer.writerow([_fmt(rho[i]), _fmt(v), *tail])
     return path
+
+
+def _qk_partial_fractions(rho, n: int, k: int) -> np.ndarray:
+    # the inverse gap product in closed form, odd n: with x = lam^2/4 and
+    # a_i = c_i + (n-1)^2/4, 1/prod_i (x + a_i) = sum_i [prod_(j != i)
+    # (a_j - a_i)]^(-1) / (x + a_i), where a_j - a_i = c_j - c_i and
+    # 1/(x + a_i) is the resolvent at shift c_i, the Green kernel at c_1
+    shifts = [-(n - 1) ** 2 / 4.0, *kernels._gap_shifts(n, k)]
+    return sum(
+        kernels._resolvent_closed_odd(c, rho, n) / math.prod(d - c for d in shifts if d != c)
+        for c in shifts
+    )
 
 
 # -- constants printer ----------------------------------------------------
@@ -795,6 +796,9 @@ def _parse_rho(text: str) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # dest names the RunConfig field; metavar keeps the flag's name in help
+    cfg = RunConfig()
+    tab = inspect.signature(tabulate_kernel).parameters
     ap = argparse.ArgumentParser(
         prog="hypverify",
         description="verification suites for hyperbolic-space inequality checks",
@@ -802,21 +806,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", choices=SUITES, default="all")
-    v.add_argument("--n", type=int, default=5)
-    v.add_argument("--k", type=int, default=2)
-    v.add_argument("--p", type=float, default=None)
-    v.add_argument("--lam", type=float, default=1.0,
+    v.add_argument("--suite", choices=SUITES, default=cfg.suite)
+    v.add_argument("--n", type=int, default=cfg.n)
+    v.add_argument("--k", type=int, default=cfg.k)
+    v.add_argument("--p", type=float, default=cfg.p)
+    v.add_argument("--lam", type=float, dest="lambda_exp", metavar="LAM",
+                   default=cfg.lambda_exp,
                    help="bilinear kernel exponent for the hls rows (on H^3): "
                         "0 < lam < 2; from 2 on they raise NotImplementedError")
-    v.add_argument("--eps", type=_parse_eps, default=(0.4, 0.2, 0.1, 0.05),
-                   help="comma-separated concentration parameters")
-    v.add_argument("--kmax", type=int, default=6,
+    v.add_argument("--eps", type=_parse_eps, dest="eps_grid", metavar="EPS",
+                   default=cfg.eps_grid, help="comma-separated concentration parameters")
+    v.add_argument("--kmax", type=int, default=cfg.kmax,
                    help="depth of the exact recursion checks")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--format", choices=("csv", "json"), default="csv")
-    v.add_argument("--out", default=None, help="report path")
-    v.add_argument("--outdir", default=None,
+    v.add_argument("--seed", type=int, default=cfg.seed)
+    v.add_argument("--format", choices=("csv", "json"), dest="fmt", default=cfg.fmt)
+    v.add_argument("--out", dest="out_path", metavar="OUT", default=cfg.out_path,
+                   help="report path")
+    v.add_argument("--outdir", default=cfg.outdir,
                    help="report directory (default: $HYPVERIFY_OUTDIR or .)")
 
     c = sub.add_parser("constants", help="print the sharp constants")
@@ -827,56 +833,32 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--kernel", required=True,
                    choices=_TABLE_KERNELS)
     t.add_argument("--n", type=int, default=3)
-    t.add_argument("--t", type=float, default=1.0, help="heat time")
-    t.add_argument("--lam0", type=float, default=0.0,
+    t.add_argument("--t", type=float, default=tab["t"].default, help="heat time")
+    t.add_argument("--lam0", type=float, default=tab["lam0"].default,
                    help="resolvent shift, at least -(n-1)^2/4")
     t.add_argument("--rho", type=_parse_rho, required=True,
                    help="comma-separated rho values (may be empty)")
-    t.add_argument("--out", default=None)
-    t.add_argument("--outdir", default=None)
+    t.add_argument("--out", dest="out_path", metavar="OUT", default=tab["out_path"].default)
+    t.add_argument("--outdir", default=tab["outdir"].default)
 
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "constants":
-        try:
-            print_constants(args.n, args.k)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-    if args.command == "tabulate":
-        try:
-            path = tabulate_kernel(
-                args.kernel, args.rho, args.n,
-                out_path=args.out, t=args.t, lam0=args.lam0, outdir=args.outdir,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(path)
-        return 0
     try:
-        cfg = RunConfig(
-            suite=args.suite,
-            n=args.n,
-            k=args.k,
-            p=args.p,
-            lambda_exp=args.lam,
-            eps_grid=args.eps,
-            kmax=args.kmax,
-            seed=args.seed,
-            fmt=args.format,
-            out_path=args.out,
-            outdir=args.outdir,
-        )
+        if args.command == "constants":
+            print_constants(args.n, args.k)
+            return 0
+        if args.command == "tabulate":
+            print(tabulate_kernel(args.kernel, args.rho, args.n, out_path=args.out_path,
+                                  t=args.t, lam0=args.lam0, outdir=args.outdir))
+            return 0
+        cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+        return run_suite(cfg)[0]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    status, _ = run_suite(cfg)
-    return status
 
 
 if __name__ == "__main__":

@@ -312,6 +312,8 @@ class TestTabulate:
         with open(path) as fh:
             (row,) = list(csv.DictReader(fh))
         assert abs(float(row["reference"]) * 16.0 * math.pi**2 * 1e-7 - 1.0) < 1e-12
+        # and so must the kernel, whose two resolvents cancel there
+        assert float(row["rel_err"]) < 1e-13
 
     def test_qk_inverse_grid_reaches_past_the_largest_rho(self, tmp_path):
         # the convolution route truncates the kernel at the grid's end,
@@ -324,6 +326,20 @@ class TestTabulate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert max(float(r["rel_err"]) for r in rows) < 3e-3
+
+    @pytest.mark.parametrize("n,rho,tol", [
+        (3, "0.5,1,2", 1e-8), (7, "1,3,6", 2e-3), (7, "0.2,8", 2e-3),
+    ])
+    def test_qk_inverse_reference_is_exact(self, tmp_path, n, rho, tol):
+        # the reference is the closed partial fractions of the symbol, so
+        # rel_err reads the convolution route's own error
+        out = tmp_path / "q.csv"
+        code = main(["tabulate", "--kernel", "qk-inverse", "--n", str(n),
+                     "--rho", rho, "--out", str(out)])
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert max(float(r["rel_err"]) for r in rows) < tol
 
     def test_negative_rho_rejected(self, tmp_path, capsys):
         code = main(["tabulate", "--kernel", "heat", "--rho", "-1.0",

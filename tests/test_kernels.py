@@ -214,7 +214,9 @@ class TestLimitingGreen:
 class TestResolvent:
     @pytest.mark.parametrize(
         "n,lam0",
-        [(3, -0.75), (3, 0.5), (3, 3.0), (5, -1.75), (5, 1.0), (7, 1.0)],
+        [(3, -0.75), (3, 0.5), (3, 3.0), (5, -1.75), (5, 1.0), (7, 1.0)]
+        # near the bottom of the spectrum, s = sqrt(lam0 + (n-1)^2/4) small
+        + [(n, s * s - (n - 1) ** 2 / 4.0) for n in (3, 5, 7, 9) for s in (0.05, 0.01)],
     )
     def test_matches_closed_odd_forms(self, n, lam0):
         rv = resolvent_kernel(lam0, RHO, n)
@@ -274,13 +276,21 @@ class TestResolvent:
 
     @pytest.mark.parametrize(
         "theta,tol",
-        [(-0.5, 5e-12), (-0.25, 2e-15), (0.0, 2e-15), (0.7, 2e-15), (1.5, 2e-15), (3.0, 2e-15)],
+        [(-0.5, 2e-15), (-0.25, 2e-15), (0.0, 2e-15), (0.7, 2e-15), (1.5, 2e-15), (3.0, 2e-15)],
     )
     def test_rule_integrates_the_jacobi_weight(self, theta, tol):
         # int_0^2 w^theta (2-w)^theta dw = 2^(2 theta + 1) B(theta + 1, theta + 1)
         _, wt = _resolvent_rule(theta)
         exact = 2.0 ** (2.0 * theta + 1.0) * beta(theta + 1.0, theta + 1.0)
         assert abs(wt.sum() / exact - 1.0) < tol
+
+    @pytest.mark.parametrize("theta", [-0.5, 0.7])
+    def test_rule_is_graded_toward_zero_only(self, theta):
+        # 45 dyadic panels and a Jacobi panel below them, one Jacobi panel
+        # on [1, 2]: 16 nodes each
+        w, _ = _resolvent_rule(theta)
+        assert w.size == 16 * (45 + 2)
+        assert np.count_nonzero((w > 1.0) & (w < 2.0)) == 16
 
     @pytest.mark.parametrize("n,lam0", [(3, -0.5), (5, -3.0)])
     def test_large_rho_silent(self, n, lam0):
@@ -325,17 +335,25 @@ class TestLargeRho:
         assert green[0] == pytest.approx(limiting_green_kernel(rho[:1], n)[0], rel=1e-12)
         assert heat[1] == heat[2] == green[2] == 0.0
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_even_green_matches_the_resolvent_down_to_the_float_range(self, n):
         # the Weyl integrand ~ e^(-(m+1) r) underflows well before the
         # kernel does; wherever the resolvent at the bottom of the
-        # spectrum is a nonzero float the two must agree
+        # spectrum is a nonzero float the two must agree.  Measured 1.3e-14
+        # on [1e-4, 2] and 1.6e-13 past it
+        bottom = -(n - 1) ** 2 / 4.0
+        rho = np.geomspace(1e-4, 2.0, 80)
+        got = limiting_green_kernel(rho, n) / resolvent_kernel(bottom, rho, n)
+        assert np.max(np.abs(got - 1.0)) < 1e-13
+        if n == 2:
+            # its window leaves the float range before the kernel does
+            return
         rho = np.arange(2.0, 720.0, 2.0)
         green = limiting_green_kernel(rho, n)
-        ref = resolvent_kernel(-(n - 1) ** 2 / 4.0, rho, n)
+        ref = resolvent_kernel(bottom, rho, n)
         nz = ref != 0.0
         assert rho[nz][-1] > 180.0
-        assert np.max(np.abs(green[nz] / ref[nz] - 1.0)) < 1e-10
+        assert np.max(np.abs(green[nz] / ref[nz] - 1.0)) < 1e-12
 
     def test_even_heat_matches_mpmath_at_the_bottom_of_the_float_range(self):
         # n = 4, t = 10: the Weyl integrand L^2 e^(-r^2/40) ~ e^(-2r - r^2/40)
@@ -459,6 +477,24 @@ class TestProductResolvent:
         got = forward_transform(pr, grid12, 5, LAM)
         want = 1.0 / (((16.0 + LAM**2) / 4.0 + a) * ((16.0 + LAM**2) / 4.0 + b))
         assert np.max(np.abs(got / want - 1.0)) < 1e-5
+
+    @pytest.mark.parametrize("a,b", [(-4.0, -3.0), (-3.5, 0.5), (0.0, 5.0)])
+    def test_against_mpmath_from_the_pole_out(self, a, b):
+        # (R_a - R_b)/(b - a), R_c = e^(-s rho)(cosh rho + s sinh rho) /
+        # (8 pi^2 sinh^3 rho), s = sqrt(c + 4), in 40 digits: the two
+        # rho^-3 poles cancel to rho^-1 without loss there
+        mp = pytest.importorskip("mpmath")
+        rho = np.array([1e-7, 1e-6, 1e-5, 1e-3, 0.05, 0.5, 1.0, 5.0, 15.0])
+        with mp.workdps(40):
+            def res(c, r):
+                s = mp.sqrt(mp.mpf(c) + 4)
+                return mp.exp(-s * r) * (mp.cosh(r) + s * mp.sinh(r)) / (8 * mp.pi**2 * mp.sinh(r) ** 3)
+
+            want = np.array([
+                float((res(a, mp.mpf(r)) - res(b, mp.mpf(r))) / (mp.mpf(b) - mp.mpf(a)))
+                for r in rho
+            ])
+        assert np.max(np.abs(product_resolvent_h5(a, b, rho) / want - 1.0)) < 1e-13
 
     def test_positive_and_symmetric_in_shifts(self):
         pa = product_resolvent_h5(-15.0 / 4.0, -7.0 / 4.0, RHO)
