@@ -51,12 +51,7 @@ from hypverify.spectral import (
     make_spectral_grid,
     plancherel_prefactor,
 )
-from hypverify.specialfn import _log_sinh, phi_matrix, plancherel_density
-
-
-def _check_dimension(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError("need an integer dimension n >= 2")
+from hypverify.specialfn import _check_dimension, _log_sinh, phi_matrix, plancherel_density
 
 
 def _positive_rho(rho) -> np.ndarray:
@@ -120,7 +115,7 @@ def heat_kernel(t: float, rho, n: int):
     ladder terms cancel, the exact Taylor series of the ladder takes over,
     so small t and small rho keep full accuracy.
     """
-    _check_dimension(n)
+    n = _check_dimension(n)
     if t <= 0:
         raise ValueError("t must be positive")
     r = _positive_rho(rho)
@@ -247,7 +242,7 @@ def limiting_green_kernel(rho, n: int):
     reading 0 or raising ValueError past rho ~ 650 as ``heat_kernel``
     does.  Blows up like rho^(2-n) at the origin (log for n = 2) and
     decays like e^(-(n-1) rho / 2)."""
-    _check_dimension(n)
+    n = _check_dimension(n)
     r = _positive_rho(rho)
     if n % 2 == 1:
         m = (n - 3) // 2
@@ -324,7 +319,7 @@ def resolvent_kernel(lam0: float, rho, n: int):
     3..9) for s = sqrt(lam0 + (n-1)^2/4) in [0.01, 2.5] and 1.6e-13 at
     s = 20; at the bottom it meets the even-n Green kernel to 1.6e-13.
     """
-    _check_dimension(n)
+    n = _check_dimension(n)
     r = _positive_rho(rho)
     gap = (n - 1) ** 2 / 4.0
     if lam0 < -gap:
@@ -483,7 +478,7 @@ def qk_inverse_kernel(
     independent is the point: agreement validates kernel and symbol at
     once.
     """
-    _check_dimension(n)
+    n = _check_dimension(n)
     if k < 1:
         raise ValueError("need k >= 1")
     if n - 2 * k < 1:

@@ -26,10 +26,16 @@ In odd n from 3 to 9, ``phi_matrix`` uses the exact closed form instead: from
 phi_3 = 2 sin(lambda rho / 2)/(lambda sinh rho), the ladder
 phi_(n+2) = 4n/((n-1)^2 + lambda^2) * (-(1/sinh rho) d/drho) phi_n gives
 a finite sum of trigonometric terms with exact rational coefficients
-(built by ``exact.ladder``), and the Gauss series of
+(built by ``exact.ladder``), and from n = 5 the Gauss series of
 2F1((n-1)/4 + i lambda/4, (n-1)/4 - i lambda/4; n/2; -sinh^2 rho)
-covers the corner near rho = 0 where those terms cancel.  That
-cancellation grows with n, so odd n > 9 keep the quadrature.
+covers the corner rho^2 + (lambda rho/2)^2 < 1/2 where those terms
+cancel.  That cancellation grows with n, so odd n > 9 keep the
+quadrature; at n = 3, phi = (rho/sinh rho) sinc(lambda rho/2) has none,
+so n = 3 takes no series.  The series is planned once per call: the
+corner's columns are grouped into bands by the term count their worst
+row needs, each band storing its columns' scaled powers of -sinh^2 rho,
+and each chunk of lambda sums a band as one matrix product of its rows'
+coefficients with those powers.
 
 In even n from 2 to 8, ``phi_matrix`` uses the Harish-Chandra expansion
 phi = c(lambda) Phi_lambda + c(-lambda) Phi_(-lambda) (Koornwinder 1984),
@@ -115,6 +121,16 @@ def log_gamma_complex(z):
     return out[0] if scalar else out
 
 
+def _check_dimension(n) -> int:
+    """n as a Python int; ValueError unless an integer n >= 2.
+
+    numpy integers pass, bools (Python or numpy) do not.
+    """
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError("need an integer dimension n >= 2")
+    return int(n)
+
+
 def _log_c(lam: np.ndarray, n: int) -> np.ndarray:
     # log c(lambda) from the gamma quotient, lam a nonzero 1-d array
     il = 1j * lam
@@ -136,6 +152,7 @@ def harish_chandra_c(lam, n: int):
     For odd n this telescopes to a rational function; tests compare
     against those closed forms.  lambda = 0 is a pole and is rejected.
     """
+    n = _check_dimension(n)
     lam = np.asarray(lam, dtype=float)
     if np.any(lam == 0.0):
         raise ValueError("c(lambda) has a pole at lambda = 0")
@@ -149,6 +166,7 @@ def plancherel_density(lam, n: int):
 
     Extends continuously by 0 to lambda = 0.  Even in lambda.
     """
+    n = _check_dimension(n)
     lam = np.asarray(lam, dtype=float)
     scalar = lam.ndim == 0
     lam = np.atleast_1d(lam)
@@ -237,6 +255,7 @@ def spherical_function(lam, rho, n: int):
     by phi_0 in absolute value.  The quadrature size scales with
     max |lambda| * rho.
     """
+    n = _check_dimension(n)
     lam_b, rho_b = np.broadcast_arrays(
         np.asarray(lam, dtype=float), np.asarray(rho, dtype=float)
     )
@@ -251,7 +270,7 @@ def spherical_function(lam, rho, n: int):
     return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
-def _odd_radial_rows(rho: np.ndarray, n: int):
+def _odd_radial_rows(rho: np.ndarray, n: int, cols: np.ndarray):
     """Radial rows of the closed form of phi in dimension n = 2m + 1, m >= 1.
 
     phi = prod_{j<m} 4(2j+1)/((2j)^2 + lam^2) * L^m cos(t), t = lam rho / 2,
@@ -267,23 +286,170 @@ def _odd_radial_rows(rho: np.ndarray, n: int):
               * sum_i lam^(2i) (A_i cos t + rho B_i sinc t),
         A_i = 4^(-i) P_(2i+2) = -(-1/4)^i E_(2i+2),  B_i = (-1/4)^i E_(2i+1).
 
-    Returns the rows A_i(rho) and rho B_i(rho) at the rho > 0.
+    Returns the rows A_i and rho B_i as arrays over rho, set at rho[cols]
+    (all rho > 0) and 0 elsewhere; an A_i without ladder terms is None.
+    At n = 3, A_0 = 0 and rho B_0 = rho/sinh rho, taken as
+    2 rho e^(-rho)/(1 - e^(-2 rho)), which stays finite down to subnormal
+    rho, where 1/sinh rho overflows.
     """
+    r = rho[cols]
+    if n == 3:
+        row = np.zeros(rho.size)
+        row[cols] = 2.0 * r / -np.expm1(-2.0 * r) * np.exp(-r)
+        return [None], [row]
     m = (n - 1) // 2
     terms = dict(ladder(1, m))
     half = (m + 1) // 2
     keys = [(-((-0.25) ** i), (2 * i + 2, 0)) for i in range(half)]
     keys += [((-0.25) ** i, (2 * i + 1, 0)) for i in range(half)]
-    r = rho[rho > 0.0]
-    rows = evaluate_rows([[(w, terms[key])] if key in terms else [] for w, key in keys], r)
-    return rows[:half], [r * row for row in rows[half:]]
+    rows = np.zeros((2 * half, rho.size))
+    rows[:, cols] = evaluate_rows([[(w, terms[key])] if key in terms else [] for w, key in keys], r)
+    rows[half:, cols] *= r
+    A = [row if key in terms else None for row, (_, key) in zip(rows[:half], keys)]
+    return A, list(rows[half:])
 
 
 # phi_matrix entries with rho^2 + (lam rho / 2)^2 below this take the Gauss
-# series (odd n <= 9, even n <= 8): there the ladder terms and the
+# series (odd 5 <= n <= 9, even n <= 8): there the ladder terms and the
 # Harish-Chandra terms cancel, while sinh^2 rho < 0.59 and
-# (lam sinh rho)^2 < 2.4 keep the series' term ratio below 0.7
+# (lam sinh rho)^2 < 2.4 keep the series' term ratio below 0.7.  The series
+# is evaluated per column band (``_series_plan``), one matrix product per
+# band and lambda chunk.  At n = 3 the closed form
+# (rho/sinh rho) sinc(lam rho/2) has no cancellation (3.5e-16 off in this
+# corner against mpmath, relative to phi_0), so n = 3 takes no series.
 _SERIES_SEAM = 0.5
+# The Gauss series is summed to the first band size K whose tail bound is
+# below this; phi > 0.6 in the series region for the n that take it.
+_SERIES_TAIL = 1e-17
+# Term counts K of the Gauss-series bands.  Next to the seam at
+# rho = sqrt(1/2), lam = 0, the tail bound needs K = 60 (n = 2) to 69
+# (n = 9); the spectral_cold columns below rho = 0.01 need at most 6.
+_SERIES_BAND_SIZES = (8, 16, 32, 64, 96)
+# A band's scaled coefficients stay below e^this, and the powers of its
+# columns above e^-this (no overflow, no subnormals).
+_SERIES_LOG_RANGE = 400.0
+
+
+def _in_series(lam, rho):
+    """Entries (lam, rho) that take the Gauss series, broadcasting."""
+    # |lam rho / 2| >= 1 lies outside; the cap keeps the square finite
+    t = np.minimum(np.abs(0.5 * lam * rho), 1.0)
+    return rho * rho + t * t < _SERIES_SEAM
+
+
+def _series_plan(lam: np.ndarray, rho: np.ndarray, n: int):
+    """Column bands of the Gauss series for the call phi_matrix(lam, rho, n).
+
+    The series is F = sum_k c_k x^k, x = -sinh^2 rho, c_0 = 1 and
+    c_(k+1) = c_k ((a + k)^2 + l) / ((b + k)(k + 1)), a = (n-1)/4,
+    b = n/2, l = lam^2/16.  Its columns are the rho > 0 where some lam
+    of the call lies in the series.  A column's worst row has the
+    largest l there: l <= L = min(max lam^2 / 16, (1/2 - rho^2)/(4 rho^2)).
+    For n <= 9, (a + k)^2 <= (b + k)(k + 1), so the term ratio from k = K
+    on is at most s (1 + L/((b + K)(K + 1))) with s = sinh^2 rho, and the
+    tail from K at most |term_K| / (1 - that), with |term_K| at most
+    prod_(k<K) (s (a + k)^2 + s L)/((b + k)(k + 1)).  Each column takes
+    the first size of ``_SERIES_BAND_SIZES`` whose tail bound, in log
+    form, meets ``_SERIES_TAIL``.
+
+    A band shares its term count K and a scale sigma^2, sigma the power of
+    2 in [sinh rho, 2 sinh rho) at its largest rho, so that scaling rounds
+    nothing: it stores the powers (-sinh^2 rho / sigma^2)^k, and each row
+    takes the coefficients c_k sigma^(2k).  Its rows are those in the
+    series at its smallest rho.  Columns of one size are split along rho
+    where those coefficients could pass e^``_SERIES_LOG_RANGE`` or the
+    powers fall below its inverse.
+
+    Returns None when no entry lies in the series, else (cols, bands):
+    cols the series columns, band by band with rho descending inside each,
+    and per band (start, stop, sigma / 4, sigma^2 (a + k)^2,
+    (b + k)(k + 1), powers) for k < K - 1: its columns are
+    cols[start:stop], its powers of shape (K, stop - start) run from
+    k = K - 1 down to 0.
+    """
+    if not lam.size:
+        return None
+    cols = np.flatnonzero((rho > 0.0) & _in_series(np.min(np.abs(lam)), rho))
+    if not cols.size:
+        return None
+    cols = cols[np.argsort(-rho[cols], kind="stable")]
+    r = rho[cols]
+    a, b = 0.25 * (n - 1), 0.5 * n
+    sinh = np.sinh(r)
+    s = sinh * sinh
+    # s L, the seam bound taken as (sinh rho / rho)^2 (1/2 - rho^2)/4
+    w = np.minimum(0.25 * np.max(np.abs(lam)) * sinh, sinh / r * np.sqrt(0.125 - 0.25 * r * r)) ** 2
+    sizes = np.array(_SERIES_BAND_SIZES)
+    k = np.arange(sizes[-1] + 1)
+    den = (b + k) * (k + 1.0)
+    # log of the bound on |c_(k+1) x^(k+1) / (c_k x^k)|, k < K_max; the
+    # floor only raises it (sinh^2 rho underflows below rho = 1e-154)
+    log_q = np.log(np.maximum((s[:, None] * (a + k[:-1]) ** 2 + w[:, None]) / den[:-1], 1e-300))
+    tail = np.cumsum(log_q, axis=1)[:, sizes - 1] - np.log1p(-(s[:, None] + w[:, None] / den[sizes]))
+    # sinh^2 rho < 0.59 and s L <= 1/8 in the series region, so the largest
+    # size always meets the tail
+    level = np.argmax(tail < math.log(_SERIES_TAIL), axis=1)
+    log_s = 2.0 * _log_sinh(r)
+    bands = []
+    for i in np.unique(level):
+        K = int(sizes[i])
+        idx = np.flatnonzero(level == i)  # descending rho
+        while idx.size:
+            sigma = math.ldexp(1.0, math.frexp(sinh[idx[0]])[1])
+            # bound on log |c_k sigma^(2k)| for the rows in the series at rho[idx]
+            scale = 2.0 * math.log(sigma) - log_s[idx, None]
+            coef = np.max(np.cumsum(log_q[idx, : K - 1] + scale, axis=1), axis=1, initial=0.0)
+            ok = (coef <= _SERIES_LOG_RANGE) & ((K - 1) * scale[:, 0] <= _SERIES_LOG_RANGE)
+            stop = idx.size if ok.all() else max(1, int(np.argmin(ok)))
+            bands.append((idx[:stop], K, sigma))
+            idx = idx[stop:]
+    order = np.concatenate([band for band, _, _ in bands])
+    out = []
+    start = 0
+    for band, K, sigma in bands:
+        u = -((sinh[band] / sigma) ** 2)
+        powers = u[None, :] ** np.arange(K - 1, -1, -1)[:, None]
+        num = sigma * sigma * (a + k[: K - 1]) ** 2
+        out.append((start, start + band.size, 0.25 * sigma, num, den[: K - 1], powers))
+        start += band.size
+    return cols[order], out
+
+
+def _series_fill(out: np.ndarray, lam: np.ndarray, rho: np.ndarray, plan) -> None:
+    """Write the Gauss series into the entries of out that lie in it.
+
+    2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho) on the
+    bands of ``_series_plan``: per band, the cumulative products of its
+    rows' scaled coefficients and one matrix product with its powers;
+    then one masked copy into out.
+    """
+    cols, bands = plan
+    inside = _in_series(lam[:, None], rho[cols])
+    vals = np.empty(inside.shape)
+    for start, stop, quarter_sigma, num, den, powers in bands:
+        rows = np.flatnonzero(inside[:, stop - 1])  # at the band's smallest rho
+        if not rows.size:
+            continue
+        # sigma^2 ((a + k)^2 + lam^2/16) / ((b + k)(k + 1)), lam^2 never formed
+        w = (quarter_sigma * lam[rows]) ** 2
+        # c_k sigma^(2k) from k = K - 1 down to 0, as the powers are stored:
+        # the product then adds the smallest terms first
+        K = powers.shape[0]
+        coef = np.empty((rows.size, K))
+        coef[:, K - 1] = 1.0
+        np.cumprod((num + w[:, None]) / den, axis=1, out=coef[:, K - 2 :: -1])
+        vals[rows, start:stop] = coef @ powers
+    out[:, cols] = np.where(inside, vals, out[:, cols])
+
+
+def _closed_form_cols(lam: np.ndarray, rho: np.ndarray, plan) -> np.ndarray:
+    # the rho > 0 where some lam lies outside the Gauss series (every
+    # rho > 0 without a series, as at n = 3)
+    pos = rho > 0.0
+    if plan is not None:
+        pos &= ~_in_series(np.max(np.abs(lam), initial=0.0), rho)
+    return np.flatnonzero(pos)
+
 
 # Largest odd n that phi_matrix takes by the closed form.  Just outside the
 # seam the ladder loses about eps (2l+1)!! (2l-1)!! / (rho^2 + t^2)^l,
@@ -293,69 +459,44 @@ _SERIES_SEAM = 0.5
 _CLOSED_FORM_MAX_N = 9
 
 
-def _gauss_series(lam: np.ndarray, rho: np.ndarray, n: int) -> np.ndarray:
-    # 2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho); the
-    # term ratio x ((a + k)^2 + lam^2/16) / ((n/2 + k)(k + 1)) is real and
-    # below 1 in modulus.  Entries are sorted by |x|, so the ones still
-    # converging are a prefix that shrinks as the terms fall below 1e-17
-    # (phi > 0.6 in the series region for the n <= 9 that reach it, so
-    # below an ulp of phi).
-    order = np.argsort(-rho)
-    x = -np.sinh(rho[order]) ** 2
-    l2 = lam[order] ** 2 / 16.0
-    a = 0.25 * (n - 1)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    k = 0
-    end = x.size
-    while True:
-        big = np.flatnonzero(np.abs(term[:end]) > 1e-17)
-        if big.size == 0:
-            break
-        end = int(big[-1]) + 1
-        term[:end] *= x[:end] * ((a + k) ** 2 + l2[:end]) / ((0.5 * n + k) * (k + 1))
-        total[:end] += term[:end]
-        k += 1
-    out = np.empty_like(total)
-    out[order] = total
-    return out
-
-
-def _phi_rows_odd(lam: np.ndarray, rho: np.ndarray, n: int, radial_rows) -> np.ndarray:
+def _phi_rows_odd(lam: np.ndarray, rho: np.ndarray, n: int, radial_rows, plan) -> np.ndarray:
     """Rows phi[lam_i, rho_j] for odd 3 <= n <= 9 from the closed form.
 
     ``radial_rows`` holds A_i(rho) and rho B_i(rho) of ``_odd_radial_rows``
-    at every rho > 0 (rho = 0 gives 1, as in the Jacobi route).
+    at every rho > 0 where some lam of the call lies outside the Gauss
+    series.  The closed form is evaluated on the columns where some lam
+    of this chunk does, and the Gauss series (``_series_fill``) on the
+    entries inside it; rho = 0 gives 1, as in the Jacobi route.
     """
     A, B = radial_rows
     m = (n - 1) // 2
-    pos = rho > 0.0
-    r = rho[pos]
+    out = np.empty((lam.size, rho.size))
+    out[:, rho == 0.0] = 1.0
+    cols = _closed_form_cols(lam, rho, plan)
+    r = rho[cols]
     l2 = (lam * lam)[:, None]
     t = 0.5 * lam[:, None] * r[None, :]
     sinc = np.sin(t)
     nz = t != 0.0
     sinc[nz] /= t[nz]
     sinc[~nz] = 1.0
-    cos_part = np.zeros_like(t)
+    cos_part = None
     sinc_part = np.zeros_like(t)
     power = np.ones_like(l2)
     for a_i, b_i in zip(A, B):
-        cos_part += power * a_i
-        sinc_part += power * b_i
+        if a_i is not None:
+            term = power * a_i[cols]
+            cos_part = term if cos_part is None else cos_part + term
+        sinc_part += power * b_i[cols]
         power = power * l2
-    vals = cos_part * np.cos(t) + sinc_part * sinc
+    vals = sinc_part * sinc
+    if cos_part is not None:
+        vals += cos_part * np.cos(t)
     for j in range(1, m):
         vals *= 4.0 * (2 * j + 1) / ((2 * j) ** 2 + l2)
-
-    near = np.flatnonzero(r * r < _SERIES_SEAM)
-    rows, cols = np.nonzero(r[near] ** 2 + t[:, near] ** 2 < _SERIES_SEAM)
-    if rows.size:
-        cols = near[cols]
-        vals[rows, cols] = _gauss_series(lam[rows], r[cols], n)
-
-    out = np.ones((lam.size, rho.size))
-    out[:, pos] = vals
+    out[:, cols] = vals
+    if plan is not None:
+        _series_fill(out, lam, rho, plan)
     return out
 
 
@@ -462,24 +603,25 @@ def _hc_rows(lam: np.ndarray, rho: np.ndarray, n: int, bands: list) -> np.ndarra
     return out
 
 
-def _phi_rows_even(lam: np.ndarray, rho: np.ndarray, n: int, bands: list) -> np.ndarray:
+def _phi_rows_even(lam: np.ndarray, rho: np.ndarray, n: int, bands: list, plan) -> np.ndarray:
     """Rows phi[lam_i, rho_j] for the even n of ``_HC_MIN_RHO``.
 
-    Three routes split the entries: the Gauss series where
-    rho^2 + (lam rho/2)^2 < 1/2 (rho = 0 included), the Harish-Chandra
-    series where rho and lam rho reach their seams, and the Jacobi
-    quadrature on the rest, its node count set by the largest phase
-    among those entries.
+    Three routes split the entries: the Gauss series (``_series_fill``)
+    where rho^2 + (lam rho/2)^2 < 1/2 (rho = 0 gives 1), the
+    Harish-Chandra series where rho and lam rho reach their seams, and
+    the Jacobi quadrature on the rest, its node count set by the largest
+    phase among those entries.
     """
     phase = np.abs(lam)[:, None] * rho[None, :]
-    series = rho * rho + 0.25 * phase * phase < _SERIES_SEAM
+    series = _in_series(lam[:, None], rho[None, :])
     hc = ~series & (phase >= _HC_MIN_PHASE) & (rho >= _HC_MIN_RHO[n])
     out = np.empty((lam.size, rho.size))
     rows = np.flatnonzero(hc.any(axis=1))
     if rows.size:
         out[rows] = _hc_rows(lam[rows], rho, n, bands)
-    rows, cols = np.nonzero(series)
-    out[rows, cols] = _gauss_series(lam[rows], rho[cols], n)
+    out[:, rho == 0.0] = 1.0
+    if plan is not None:
+        _series_fill(out, lam, rho, plan)
     rows, cols = np.nonzero(~series & ~hc)
     out[rows, cols] = _jacobi_entries(lam[rows], rho, cols, n)
     return out
@@ -494,9 +636,12 @@ def phi_matrix(lam, rho, n: int) -> np.ndarray:
     """Matrix phi[lam_i, rho_j] for grid-sized argument arrays.
 
     Odd 3 <= n <= 9 uses the exact closed form (``_odd_radial_rows``): two
-    trigonometric evaluations per entry, with the Gauss series
-    2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho) where
-    rho^2 + (lam rho / 2)^2 < 1/2.  Even 2 <= n <= 8 uses the same Gauss
+    trigonometric evaluations per entry (one at n = 3), and from n = 5 the
+    Gauss series 2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho)
+    where rho^2 + (lam rho / 2)^2 < 1/2, in column bands planned once per
+    call (``_series_plan``) and summed as one matrix product per band and
+    lambda chunk; the closed form skips the columns that a chunk has
+    wholly in the series.  Even 2 <= n <= 8 uses the same Gauss
     series there, the Harish-Chandra series (``_hc_rows``) where rho and
     lam rho reach the seams of ``_HC_MIN_RHO`` and ``_HC_MIN_PHASE``, and
     the Jacobi quadrature of ``spherical_function`` on the entries left,
@@ -505,9 +650,10 @@ def phi_matrix(lam, rho, n: int) -> np.ndarray:
     phase.  Work is chunked over lambda, and results are cached
     on the byte content of the two arrays (transform pipelines hit the
     same grids over and over).  The returned array is read-only; copy
-    before mutating.  Non-finite lam or rho, and negative rho, raise
-    ValueError.
+    before mutating.  Non-finite lam or rho, negative rho, and n other
+    than an integer >= 2 raise ValueError.
     """
+    n = _check_dimension(n)
     lam = np.ascontiguousarray(np.asarray(lam, dtype=float))
     rho = np.ascontiguousarray(np.asarray(rho, dtype=float))
     if lam.ndim != 1 or rho.ndim != 1:
@@ -516,24 +662,27 @@ def phi_matrix(lam, rho, n: int) -> np.ndarray:
         raise ValueError("lam and rho must be finite")
     if np.any(rho < 0.0):
         raise ValueError("rho must be nonnegative")
-    key = (int(n), lam.tobytes(), rho.tobytes())
+    key = (n, lam.tobytes(), rho.tobytes())
     hit = _PHI_CACHE.get(key)
     if hit is not None:
         _PHI_CACHE.move_to_end(key)
         return hit
 
     odd = n % 2 == 1 and 3 <= n <= _CLOSED_FORM_MAX_N
+    plan = None
+    if n != 3 and (odd or n in _HC_MIN_RHO):
+        plan = _series_plan(lam, rho, n)
     if odd:
-        radial_rows = _odd_radial_rows(rho, n)
+        radial_rows = _odd_radial_rows(rho, n, _closed_form_cols(lam, rho, plan))
     elif n in _HC_MIN_RHO:
         bands = _hc_bands(rho, n)
     out = np.empty((lam.size, rho.size))
     for s in range(0, lam.size, _PHI_CHUNK):
         block = lam[s : s + _PHI_CHUNK]
         if odd:
-            out[s : s + block.size] = _phi_rows_odd(block, rho, n, radial_rows)
+            out[s : s + block.size] = _phi_rows_odd(block, rho, n, radial_rows, plan)
         elif n in _HC_MIN_RHO:
-            out[s : s + block.size] = _phi_rows_even(block, rho, n, bands)
+            out[s : s + block.size] = _phi_rows_even(block, rho, n, bands, plan)
         else:
             rows = out[s : s + block.size]
             rows[:, rho == 0.0] = 1.0
@@ -567,6 +716,7 @@ def spherical_function_sphere_average(lam, rho, n: int):
     89 % at rho = 16, so rho above 12 raises ValueError.  The production
     route is ``spherical_function``.
     """
+    n = _check_dimension(n)
     lam_b, rho_b = np.broadcast_arrays(
         np.asarray(lam, dtype=float), np.asarray(rho, dtype=float)
     )

@@ -21,6 +21,7 @@ from hypverify.kernels import (
 from hypverify.radial import (
     convolve_with_kernel,
     integrate_radial,
+    make_radial_grid,
     radial_convolution,
     radial_laplacian,
 )
@@ -564,6 +565,30 @@ class TestQkInverse:
             qk_inverse_kernel(grid12, 5, 3)
         with pytest.raises(ValueError):
             qk_inverse_kernel(grid12, 5, 2, route="cepstral")
+
+
+class TestDimensionCheck:
+    # the kernels share specialfn's check: an integer n >= 2, numpy
+    # integers included, bools excluded
+    CALLS = {
+        "heat_kernel": lambda n: heat_kernel(0.5, RHO, n),
+        "limiting_green_kernel": lambda n: limiting_green_kernel(RHO, n),
+        "resolvent_kernel": lambda n: resolvent_kernel(1.0, RHO, n),
+        "qk_inverse_kernel": lambda n: qk_inverse_kernel(
+            make_radial_grid(rho_max=6.0, num_nodes=48), n, 1, route="spectral", lam_max=20.0, num_lam=64
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("n", [1, -3, 2.5, 3.0, True, np.bool_(True), "3"])
+    def test_rejects_bad_dimension(self, name, n):
+        with pytest.raises(ValueError, match="integer dimension"):
+            self.CALLS[name](n)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_numpy_integer_accepted(self, name):
+        for n in (3, 4):
+            assert np.array_equal(self.CALLS[name](np.int64(n)), self.CALLS[name](n))
 
 
 class TestRecursionCoefficients:

@@ -246,21 +246,21 @@ def _probes() -> list:
     return probes
 
 
-def _assert_against_hypergeometric(probes, n, tol):
-    # phi = 2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho),
-    # each probe's error relative to phi_0
+def _hypergeometric(lam, rho, n):
+    # phi = 2F1((n-1)/4 + i lam/4, (n-1)/4 - i lam/4; n/2; -sinh^2 rho)
     mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a = mp.mpf(n - 1) / 4
+        b = 1j * mp.mpf(lam) / 4
+        z = -mp.sinh(mp.mpf(rho)) ** 2
+        return float(mp.re(mp.hyp2f1(a + b, a - b, mp.mpf(n) / 2, z)))
 
-    def exact(lam, rho):
-        with mp.workdps(30):
-            a = mp.mpf(n - 1) / 4
-            b = 1j * mp.mpf(lam) / 4
-            z = -mp.sinh(mp.mpf(rho)) ** 2
-            return float(mp.re(mp.hyp2f1(a + b, a - b, mp.mpf(n) / 2, z)))
 
+def _assert_against_hypergeometric(probes, n, tol):
+    # each probe's error relative to phi_0
     for lam, rho in probes:
         got = phi_matrix(np.array([lam]), np.array([rho]), n)[0, 0]
-        err = abs(got - exact(lam, rho)) / exact(0.0, rho)
+        err = abs(got - _hypergeometric(lam, rho, n)) / _hypergeometric(0.0, rho, n)
         assert err < tol, (lam, rho, float(err))
 
 
@@ -320,7 +320,9 @@ class TestPhiMatrix:
     # n > 9 keep the quadrature in phi_matrix; the closed form would miss
     # the seam probes by 3e-10 at n = 11 and 2e-8 at n = 13, so the
     # tolerances below also pin that fallback.
-    ODD_TOL = {3: 5e-15, 5: 5e-14, 7: 5e-13, 9: 5e-12, 11: 2e-11, 13: 2e-11, 21: 5e-11}
+    # At n = 3 the worst probe is 2.4e-16 (the closed form alone, with no
+    # series in the corner).
+    ODD_TOL = {3: 1e-15, 5: 5e-14, 7: 5e-13, 9: 5e-12, 11: 2e-11, 13: 2e-11, 21: 5e-11}
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 21])
     def test_odd_closed_form_matches_jacobi(self, n):
@@ -384,3 +386,101 @@ class TestPhiMatrix:
         assert np.all(np.isfinite(mat))
         with pytest.raises(AssertionError):
             plancherel_density(lam, 4)
+
+    # The Gauss-series corner rho^2 + (lam rho/2)^2 < 1/2 as one matrix, so
+    # that the column bands of one call meet: rho from 1e-6 to just inside
+    # sqrt(1/2) with rho = 0, lam from 0 to 1000, and rows 0.1 % either side
+    # of the seam at five rho.  The entries checked are those in the series
+    # and those within 1 % of the seam outside it; farther out the closed
+    # form, the Harish-Chandra series and the quadrature have the tests
+    # above.  Against 40-digit mpmath the worst entry in the series is
+    # 2.3e-16 to 4.8e-16 for these n (4.9e-16 to 7.0e-16 when the series
+    # was summed entry by entry).
+    CORNER_RHO = (0.0, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.65, 0.7, 0.7071)
+    CORNER_LAM = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
+
+    @pytest.mark.parametrize("n", [2, 4, 5, 6, 7, 8, 9])
+    def test_series_corner_against_hypergeometric(self, n, monkeypatch):
+        monkeypatch.setattr(specialfn, "_PHI_CACHE", OrderedDict())
+        rho = np.array(self.CORNER_RHO)
+        lam = list(self.CORNER_LAM)
+        for r in (1e-3, 0.05, 0.3, 0.6, 0.7):
+            lam += [2.0 * math.sqrt(0.5 - r * r) / r * f for f in (0.999, 1.001)]
+        lam = np.array(lam)
+        with np.errstate(all="raise"):
+            mat = phi_matrix(lam, rho, n)
+        tol = (self.ODD_TOL if n % 2 else self.EVEN_TOL)[n]
+        rows, cols = np.nonzero(rho**2 + (0.5 * lam[:, None] * rho) ** 2 < 0.505)
+        assert np.count_nonzero(rho[cols] ** 2 + (0.5 * lam[rows] * rho[cols]) ** 2 > 0.5) >= 5
+        for i, j in zip(rows, cols):
+            err = abs(mat[i, j] - _hypergeometric(lam[i], rho[j], n)) / _hypergeometric(0.0, rho[j], n)
+            assert err < tol, (lam[i], rho[j], float(err))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 9])
+    def test_unsorted_and_repeated_arguments(self, n):
+        # the column bands sort rho and the series picks its rows by mask,
+        # so the order of the arguments must not matter
+        rng = np.random.default_rng(3)
+        lam = rng.choice([0.0, 0.3, 2.0, 7.5, 40.0, 300.0], 60)
+        rho = np.concatenate([np.geomspace(1e-5, 0.7, 12), [0.3, 0.3, 0.0, 1e-3, 0.69, 2.0, 9.0]])
+        rho = rho[rng.permutation(rho.size)]
+        p = rng.permutation(lam.size)
+        q = rng.permutation(rho.size)
+        phi0 = phi_matrix(np.zeros(1), rho[q], n)[0]
+        got = phi_matrix(lam[p], rho[q], n)
+        want = phi_matrix(lam, rho, n)[p][:, q]
+        assert np.max(np.abs(got - want) / phi0) <= 1e-15
+
+    def test_n3_takes_no_series(self, monkeypatch):
+        # phi_3 = (rho/sinh rho) sinc(lam rho/2) needs no series; n = 5 does
+        def spy(*args):
+            raise AssertionError("series called")
+
+        monkeypatch.setattr(specialfn, "_series_plan", spy)
+        monkeypatch.setattr(specialfn, "_series_fill", spy)
+        monkeypatch.setattr(specialfn, "_PHI_CACHE", OrderedDict())
+        lam = np.array([0.0, 0.5, 3.0, 40.0, 1000.0])
+        rho = np.array([0.0, 1e-6, 1e-3, 0.1, 0.5, 0.7, 3.0])
+        mat = phi_matrix(lam, rho, 3)
+        t = 0.5 * lam[:, None] * rho[1:]
+        sinc = np.where(t == 0.0, 1.0, np.sin(t) / np.where(t == 0.0, 1.0, t))
+        assert np.allclose(mat[:, 1:], rho[1:] / np.sinh(rho[1:]) * sinc, rtol=1e-15, atol=0.0)
+        assert np.all(mat[:, 0] == 1.0)
+        with pytest.raises(AssertionError, match="series called"):
+            phi_matrix(lam, rho, 5)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 9])
+    def test_tiny_rho_without_warnings(self, n, monkeypatch):
+        # 1/sinh rho overflows at subnormal rho and its powers well before;
+        # every entry lies in the series (or, at n = 3, is rho/sinh rho)
+        monkeypatch.setattr(specialfn, "_PHI_CACHE", OrderedDict())
+        lam = np.array([0.0, 3.0, 1e3])
+        rho = np.array([1e-310, 1e-200, 1e-100, 1e-20])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mats = [phi_matrix(lam, rho, n)] + [phi_matrix(lam, rho[j : j + 1], n) for j in range(rho.size)]
+        for mat in mats:
+            assert np.all(np.abs(mat - 1.0) <= np.finfo(float).eps)
+
+
+class TestDimensionCheck:
+    # one check for every public function of specialfn (and the kernels):
+    # an integer n >= 2, numpy integers included, bools excluded
+    CALLS = {
+        "harish_chandra_c": lambda n: harish_chandra_c(1.5, n),
+        "plancherel_density": lambda n: plancherel_density(1.5, n),
+        "spherical_function": lambda n: spherical_function(1.5, 0.5, n),
+        "spherical_function_sphere_average": lambda n: spherical_function_sphere_average(1.5, 0.5, n),
+        "phi_matrix": lambda n: phi_matrix(np.array([0.0, 1.5]), np.array([0.5, 2.0]), n),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("n", [1, 0, -3, 2.5, 3.0, True, np.bool_(True), "3", None])
+    def test_rejects_bad_dimension(self, name, n):
+        with pytest.raises(ValueError, match="integer dimension"):
+            self.CALLS[name](n)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_numpy_integer_accepted(self, name):
+        for n in (2, 3, 4):
+            assert np.array_equal(self.CALLS[name](np.int64(n)), self.CALLS[name](n))
