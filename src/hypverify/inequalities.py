@@ -53,13 +53,11 @@ from scipy.special import beta, hyp2f1
 from hypverify.kernels import qk_inverse_kernel
 from hypverify.radial import (
     _GRID_ORDER,
-    _RADIAL_INNER,
     Grid,
     RadialFunction,
     _blocks,
     _gauss_jacobi,
     _graded_integrals,
-    _panel_edges,
     _panel_nodes,
     integrate_radial,
     lp_norm,
@@ -486,7 +484,7 @@ def _hls_band(grid: Grid, lam: float, n: int) -> np.ndarray:
     rho = grid.nodes
     size = rho.size
     panels = size // _GRID_ORDER
-    edges = _panel_edges(grid)
+    edges = grid.edges
     p = np.arange(size) // _GRID_ORDER
     width = np.diff(edges)
     y = (2.0 * rho.reshape(panels, _GRID_ORDER) - edges[:-1, None] - edges[1:, None]) / (
@@ -588,9 +586,7 @@ def hls_bilinear(f: RadialFunction, g: RadialFunction, lambda_exp: float) -> flo
     scipy's 2F1, which reads 1 - w below about 1e-13 as w = 1 and so
     loses accuracy on the band's deepest nodes once lambda nears n - 1.
     For lambda >= n - 1 the kink becomes a singularity that this rule
-    does not integrate, and NotImplementedError is raised.  The grid
-    must be a Gauss-Legendre rule of 8-node panels on [0, top], as
-    make_radial_grid's are; ValueError otherwise.
+    does not integrate, and NotImplementedError is raised.
     """
     if f.grid is not g.grid or f.n != g.n:
         raise ValueError("f and g must share one grid and dimension")
@@ -904,7 +900,7 @@ def _qk_bound_constant(num_nodes: int) -> float:
     """
     grid = make_radial_grid(rho_max=10.0, num_nodes=num_nodes)
     kern = qk_inverse_kernel(grid, 5, 2, route="convolution")
-    past = grid.nodes > _RADIAL_INNER
+    past = grid.nodes > grid.edges[1]
     return float(np.max(kern[past] * np.sinh(0.5 * grid.nodes[past])))
 
 

@@ -473,10 +473,13 @@ def qk_inverse_kernel(
     on [5, 9], and up to 65 % within 3 of rho_max, where the grid
     truncates the convolution.  route="spectral": direct inversion
     integral with the reciprocal symbol; its integrand decays only
-    algebraically, so accuracy is set by lam_max (defaults give ~1e-3
-    relative on moderate rho for n - 2k = 1).  Keeping both routes
-    independent is the point: agreement validates kernel and symbol at
-    once.
+    algebraically, so accuracy is set by lam_max.  At the defaults,
+    against the exact partial fractions at the nodes of a 480-node grid
+    on [0, 12], the worst relative error on [0.1, 1], [1, 5] and [5, 9]
+    is 2.0e-2, 3.0e-4 and 4.1e-5 for (n, k) = (5, 2); 6.6e-2, 6.5e-3
+    and 1.6e-3 for (3, 1); 6.8e-3, 1.4e-5 and 1.7e-6 for (7, 3).
+    Keeping both routes independent is the point: agreement validates
+    kernel and symbol at once.
     """
     n = _check_dimension(n)
     if k < 1:

@@ -25,7 +25,7 @@ keeps short distances fully accurate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -40,37 +40,41 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+# Gauss-Legendre nodes per panel of the radial and spectral grids
+_GRID_ORDER = 8
+_RADIAL_INNER = 1e-4
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Quadrature nodes and weights on [0, top] (plain d rho or d lam weights)."""
+    """Composite Gauss-Legendre rule on [0, top], 8 nodes per panel.
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    top: float
+    Built from the panel edges 0 = edges[0] < ... < edges[-1] = top; the
+    nodes and (plain d rho or d lam) weights are derived once, read-only.
+    """
+
+    edges: np.ndarray
+    nodes: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be matching 1-d arrays")
-        if np.any(np.diff(nodes) <= 0) or nodes[0] <= 0:
-            raise ValueError("nodes must be strictly increasing and positive")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "top", float(self.top))
+        edges = np.array(self.edges, dtype=float)
+        ok = edges.ndim == 1 and edges.size > 1 and edges[0] == 0.0
+        # strictly increasing from 0 to a finite end: no NaN or inf within
+        if not (ok and np.isfinite(edges[-1]) and np.all(np.diff(edges) > 0)):
+            raise ValueError("edges must be 1-d, finite, from 0 and strictly increasing")
+        nodes, weights = _panel_nodes(edges, _GRID_ORDER)
+        for name, arr in (("edges", edges), ("nodes", nodes), ("weights", weights)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def top(self) -> float:
+        return float(self.edges[-1])
 
     @property
     def size(self) -> int:
         return self.nodes.size
-
-
-# Gauss-Legendre nodes per panel of the radial and spectral grids
-_GRID_ORDER = 8
-_RADIAL_INNER = 1e-4
 
 
 @lru_cache(maxsize=128)
@@ -127,9 +131,7 @@ def make_radial_grid(rho_max: float = 20.0, num_nodes: int = 2048) -> Grid:
     """
     if rho_max <= 0:
         raise ValueError("rho_max must be positive")
-    bounds = _graded_bounds(rho_max, num_nodes, _RADIAL_INNER, _GRID_ORDER)
-    nodes, weights = _panel_nodes(bounds, _GRID_ORDER)
-    return Grid(nodes, weights, rho_max)
+    return Grid(_graded_bounds(rho_max, num_nodes, _RADIAL_INNER, _GRID_ORDER))
 
 
 def integrate_radial(values, grid: Grid, n: int) -> float:
@@ -152,28 +154,6 @@ def lp_norm(values, grid: Grid, n: int, p: float) -> float:
     if p <= 0:
         raise ValueError("p must be positive")
     return float(integrate_radial(np.abs(values) ** p, grid, n)) ** (1.0 / p)
-
-
-def _panel_edges(grid: Grid) -> np.ndarray:
-    # edges of the composite Gauss-Legendre panels of ``grid``, each panel's
-    # width read off the sum of its weights; ValueError unless the panels
-    # carry _GRID_ORDER nodes each, tile [0, top], and rebuild the grid's
-    # nodes and weights
-    if grid.size % _GRID_ORDER:
-        raise ValueError(f"the grid must consist of {_GRID_ORDER}-node panels")
-    width = grid.weights.reshape(-1, _GRID_ORDER).sum(axis=1)
-    edges = np.concatenate([[0.0], np.cumsum(width)])
-    nodes, weights = _panel_nodes(edges, _GRID_ORDER)
-    scale = np.repeat(width, _GRID_ORDER)
-    if (
-        abs(edges[-1] - grid.top) > 1e-12 * grid.top
-        or np.any(np.abs(nodes - grid.nodes) > 1e-10 * scale)
-        or np.any(np.abs(weights - grid.weights) > 1e-10 * scale)
-    ):
-        raise ValueError(
-            f"the grid is not a Gauss-Legendre rule of {_GRID_ORDER}-node panels on [0, top]"
-        )
-    return edges
 
 
 @lru_cache(maxsize=None)
@@ -228,13 +208,12 @@ def as_callable(values, grid: Grid):
     profile frac_resolvent_h3(rho, 1.2, 1.4) to 1.1e-11 at the nodes and
     7.9e-11 between them (pointwise relative, from rho = 1e-4 on: no
     polynomial on the first panel, [0, 1e-4], follows rho^-0.2).  Raises
-    ValueError when ``values`` is not sampled on the grid nodes or the
-    grid is not a composite 8-node Gauss-Legendre rule on [0, rho_max].
+    ValueError when ``values`` is not sampled on the grid nodes.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
         raise ValueError("values must be sampled on the grid nodes")
-    edges = _panel_edges(grid)
+    edges = grid.edges
     lo, top = float(grid.nodes[0]), grid.top
     s0 = math.log(lo)
     steps = max(1, math.ceil(_TABLE_DENSITY * (math.log(top) - s0)))

@@ -38,7 +38,6 @@ from hypverify.radial import (
     Grid,
     _GRID_ORDER,
     _graded_bounds,
-    _panel_nodes,
     integrate_radial,
     sphere_area,
 )
@@ -63,9 +62,7 @@ def make_spectral_grid(lam_max: float = 40.0, num_nodes: int = 1024) -> Grid:
     """
     if lam_max <= 0:
         raise ValueError("lam_max must be positive")
-    bounds = _graded_bounds(lam_max, num_nodes, _SPECTRAL_INNER, _GRID_ORDER)
-    nodes, weights = _panel_nodes(bounds, _GRID_ORDER)
-    return Grid(nodes, weights, lam_max)
+    return Grid(_graded_bounds(lam_max, num_nodes, _SPECTRAL_INNER, _GRID_ORDER))
 
 
 def plancherel_prefactor(n: int) -> float:

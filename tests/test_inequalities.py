@@ -31,7 +31,6 @@ from hypverify.inequalities import (
     symbol_gap_infimum,
 )
 from hypverify.radial import (
-    Grid,
     RadialFunction,
     convolve_with_kernel,
     integrate_radial,
@@ -568,19 +567,6 @@ class TestHLSClosedForm:
         with pytest.raises(NotImplementedError, match="n - 1"):
             hls_bilinear(f, f, 4.0)
 
-    def test_grid_of_8_node_panels_required(self):
-        grid = Grid((np.arange(100) + 0.5) * 0.03, np.full(100, 0.03), 3.0)
-        f = RadialFunction(grid, np.exp(-(grid.nodes**2)), 3)
-        with pytest.raises(ValueError, match="8-node panels"):
-            hls_bilinear(f, f, 1.0)
-
-    def test_grid_of_gauss_panels_required(self):
-        # 16 nodes, a multiple of 8, but not Gauss-Legendre nodes
-        grid = Grid((np.arange(16) + 0.5) * 0.1875, np.full(16, 0.1875), 3.0)
-        f = RadialFunction(grid, np.exp(-(grid.nodes**2)), 3)
-        with pytest.raises(ValueError, match="8-node panels"):
-            hls_bilinear(f, f, 1.0)
-
 
 def _band_full_depth(grid, lam, n):
     # the band as first written: all four pieces graded ceil(36/(n - lam))
@@ -589,7 +575,7 @@ def _band_full_depth(grid, lam, n):
     rho = grid.nodes
     size = rho.size
     panels = size // order
-    edges = np.concatenate([[0.0], np.cumsum(grid.weights.reshape(panels, order).sum(axis=1))])
+    edges = grid.edges
     p = np.arange(size) // order
     start = edges[np.stack([np.maximum(p - 1, 0), p, p + 1, np.minimum(p + 2, panels)], axis=1)]
     end = np.stack([edges[p], rho, rho, edges[p + 1]], axis=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -24,6 +25,7 @@ from hypverify.radial import (
     Grid,
     RadialFunction,
     _fornberg_weights,
+    _graded_bounds,
     _panel_nodes,
     _theta_graded,
     as_callable,
@@ -35,6 +37,7 @@ from hypverify.radial import (
     radial_laplacian,
     sphere_area,
 )
+from hypverify.spectral import make_spectral_grid
 
 
 class TestSphereArea:
@@ -66,10 +69,43 @@ class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_radial_grid(rho_max=-1.0)
-        with pytest.raises(ValueError):
-            Grid(np.array([0.2, 0.1]), np.array([1.0, 1.0]), 1.0)
-        with pytest.raises(ValueError):
-            Grid(np.array([0.1, 0.2]), np.array([1.0, -1.0]), 1.0)
+        for edges in _BAD_EDGES:
+            with pytest.raises(ValueError, match="edges"):
+                Grid(edges)
+
+    def test_edges_are_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(Grid) if f.init] == ["edges"]
+        edges = np.array([0.0, 0.5, 2.0])
+        g = Grid(edges)
+        assert edges.flags.writeable
+        assert g.top == 2.0 and g.size == 16
+        for arr in (g.edges, g.nodes, g.weights):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "top, num", [(0.5, 64), (1.0, 128), (3.0, 96), (12.0, 480), (40.0, 1024)]
+    )
+    def test_nodes_and_weights_are_the_panel_rule_of_the_edges(self, top, num):
+        for make, inner in ((make_radial_grid, 1e-4), (make_spectral_grid, 1e-3)):
+            g = make(top, num)
+            nodes, weights = _panel_nodes(_graded_bounds(top, num, inner, 8), 8)
+            assert np.array_equal(g.nodes, nodes)
+            assert np.array_equal(g.weights, weights)
+            assert g.edges[1] == inner
+            assert g.top == top
+
+
+# panel edges that Grid must refuse: unsorted, not starting at 0, NaN,
+# inf, 2-d, a single edge, a repeated edge
+_BAD_EDGES = [
+    np.array([0.0, 2.0, 1.0]),
+    np.array([0.1, 0.2, 1.0]),
+    np.array([0.0, np.nan, 1.0]),
+    np.array([0.0, 1.0, np.inf]),
+    np.array([[0.0, 1.0], [0.0, 2.0]]),
+    np.array([0.0]),
+    np.array([0.0, 1.0, 1.0]),
+]
 
 
 # (num, a, b) of rules the library builds: the radial panels, the
@@ -178,29 +214,6 @@ class TestIntegration:
             lp_norm(vals, grid12, 3, 0.0)
 
 
-def _shift_one(arr, index, by):
-    out = np.array(arr)
-    out[index] += by
-    return out
-
-
-# grids that as_callable must refuse, each built from a 64-node grid on [0, 3]
-_NOT_GAUSS_GRIDS = {
-    # not a multiple of 8 nodes
-    "midpoint": lambda g: Grid((np.arange(100) + 0.5) * 0.03, np.full(100, 0.03), 3.0),
-    # 16 nodes whose weights sum to the panel widths, but not Gauss nodes
-    "uniform": lambda g: Grid((np.arange(16) + 0.5) / 16.0, np.full(16, 1.0 / 16.0), 1.0),
-    # Gauss panels that stop short of top
-    "short": lambda g: Grid(g.nodes, g.weights, 3.5),
-    # one node moved inside its panel
-    "moved_node": lambda g: Grid(_shift_one(g.nodes, 20, 1e-6), g.weights, 3.0),
-    # weight traded between two nodes of one panel, panel sums unchanged
-    "traded_weight": lambda g: Grid(
-        g.nodes, _shift_one(_shift_one(g.weights, 9, 1e-7), 10, -1e-7), 3.0
-    ),
-}
-
-
 class TestInterpolation:
     def test_reproduces_nodes(self, grid12):
         vals = np.exp(-(grid12.nodes**2) / 2.0)
@@ -256,12 +269,6 @@ class TestInterpolation:
             as_callable(np.ones(grid12.size - 1), grid12)
         with pytest.raises(ValueError, match="grid nodes"):
             as_callable(np.ones((2, grid12.size)), grid12)
-
-    @pytest.mark.parametrize("case", sorted(_NOT_GAUSS_GRIDS))
-    def test_rejects_grids_that_are_not_composite_gauss(self, case):
-        grid = _NOT_GAUSS_GRIDS[case](make_radial_grid(rho_max=3.0, num_nodes=64))
-        with pytest.raises(ValueError, match="8-node panels"):
-            as_callable(np.ones(grid.size), grid)
 
     def test_zero_beyond_support(self, grid12):
         f = as_callable(np.ones(grid12.size), grid12)

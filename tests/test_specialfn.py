@@ -462,6 +462,48 @@ class TestPhiMatrix:
         for mat in mats:
             assert np.all(np.abs(mat - 1.0) <= np.finfo(float).eps)
 
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_huge_lambda_fails_loudly_or_is_right(self, n, monkeypatch):
+        # at |lam| >= 1e155 n = 2 to 9 used to raise overflow warnings and
+        # n = 7, 9 return NaN, and the quadrature asked scipy for rules too
+        # large to allocate.  Now every call returns finite values within
+        # |phi| <= 1 or raises the ValueError of the lam bound or of the
+        # Jacobi node cap; at the bound itself, 1e8, both outcomes occur
+        monkeypatch.setattr(specialfn, "_PHI_CACHE", OrderedDict())
+        returned = set()
+        for rho in (0.3, 1.0):
+            for lam in (1e8, 1e100, 1e155, 1e200):
+                for fn in (phi_matrix, spherical_function):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            vals = fn(np.array([lam]), np.array([rho]), n)
+                        except ValueError as err:
+                            assert "|lam| must be at most" in str(err) or "lam * rho" in str(err)
+                            continue
+                    assert np.all(np.isfinite(vals)) and np.all(np.abs(vals) <= 1.0)
+                    returned.add(lam)
+        # up to n = 9 some rho takes a closed form or the Harish-Chandra
+        # series; n = 8 takes the quadrature below rho = 1.5
+        assert returned == ({1e8} if n <= 9 and n != 8 else set())
+
+    def test_jacobi_node_cap(self, monkeypatch):
+        # lam rho = 1e5 asked for 37 540 nodes, about a minute of rule
+        # building; the cap refuses it before any rule is built
+        assert specialfn._node_count(10_816.0) <= specialfn._MAX_JACOBI_NODES
+        for phase in (10_817.0, 1e5, np.inf, np.nan):
+            with pytest.raises(ValueError, match="lam \\* rho"):
+                specialfn._node_count(phase)
+
+        def no_rule(*args):
+            raise AssertionError("rule built")
+
+        monkeypatch.setattr(specialfn, "_gauss_jacobi", no_rule)
+        with pytest.raises(ValueError, match="lam \\* rho = 100000 "):
+            spherical_function(1e5, 1.0, 11)
+        with pytest.raises(ValueError, match="lam \\* rho"):
+            phi_matrix(np.array([0.0, 4e4]), np.array([0.5, 1.0]), 11)
+
 
 class TestDimensionCheck:
     # one check for every public function of specialfn (and the kernels):

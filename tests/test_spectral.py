@@ -47,12 +47,17 @@ class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_spectral_grid(-1.0)
-        with pytest.raises(ValueError):
-            Grid(np.array([2.0, 1.0]), np.array([1.0, 1.0]), 2.0)
-        with pytest.raises(ValueError):
-            Grid(np.array([1.0, 2.0]), np.array([1.0]), 2.0)
-        with pytest.raises(ValueError):
-            Grid(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 2.0)
+        # unsorted, not starting at 0, NaN, inf, 2-d, a single edge
+        for edges in (
+            [0.0, 2.0, 1.0],
+            [1.0, 2.0],
+            [0.0, np.nan, 2.0],
+            [0.0, np.inf],
+            [[0.0, 1.0], [0.0, 2.0]],
+            [0.0],
+        ):
+            with pytest.raises(ValueError, match="edges"):
+                Grid(np.array(edges))
 
 
 class TestPrefactor:
