@@ -62,7 +62,6 @@ from hypverify.radial import (
     integrate_radial,
     lp_norm,
     make_radial_grid,
-    radial_laplacian,
     sphere_area,
 )
 from hypverify.spectral import (
@@ -827,8 +826,10 @@ def biharmonic_hardy_identity_check() -> HardyIdentityReport:
 
     (i) spectral: for radial f, the integral of (Delta f + 3 f)^2 over
     hyperbolic volume equals the quadratic form with squared symbol
-    ((16 + lam^2)/4 - 3)^2 = ((lam^2 + 4)/4)^2; the left side is built
-    from the finite-difference Laplacian, so the routes share nothing.
+    ((16 + lam^2)/4 - 3)^2 = ((lam^2 + 4)/4)^2.  The left side takes
+    f = e^(-rho^2) with its closed Laplacian
+    Delta f = (4 rho^2 - 2) f - 2(n-1) (rho/tanh rho) f, so the routes
+    share nothing but the radial grid.
 
     (ii) half-space: for u = x1^(1/2) a(x1) b(|x'|), the flat integral
     of (Delta u + u/(4 x1^2))^2 equals the hyperbolic integral of
@@ -836,9 +837,10 @@ def biharmonic_hardy_identity_check() -> HardyIdentityReport:
     quadrature.  The report carries the relative gap of each route.
     """
     grid = make_radial_grid(rho_max=12.0, num_nodes=896)
-    f = np.exp(-(grid.nodes**2))
-    fd = radial_laplacian(f, grid, 5) + 3.0 * f
-    lhs = integrate_radial(fd**2, grid, 5)
+    rho = grid.nodes  # the smallest node is 2e-6, so rho/tanh rho is safe
+    f = np.exp(-(rho**2))
+    lap = (4.0 * rho**2 - 2.0 - 8.0 * rho / np.tanh(rho)) * f
+    lhs = integrate_radial((lap + 3.0 * f) ** 2, grid, 5)
     sym = MultiplierSpec(
         "((lam^2+4)/4)^2", lambda lam, n: ((lam**2 + 4.0) / 4.0) ** 2
     )

@@ -255,37 +255,77 @@ class TestGjmsOperator:
             gjms_operator(Poly.constant(3, 1), 0)
 
 
+def _mixed(n):
+    # 1 + (3/7) x1 x2 + x1^3 - (2/5) xn: odd and even degrees, and a
+    # coordinate other than x1
+    x1, x2, xn = (Poly.variable(n, i) for i in (0, 1, n - 1))
+    return Poly.constant(n, 1) + Fraction(3, 7) * x1 * x2 + x1 * x1 * x1 - Fraction(2, 5) * xn
+
+
 class TestBallConjugation:
     def test_k1_n3_constant(self):
-        err = ball_conjugation_numeric_check(3, 1, f=Poly.constant(3, 1))
-        assert err < 1e-6
+        lhs, rhs = ball_conjugation_numeric_check(3, 1, f=Poly.constant(3, 1))
+        assert lhs == rhs
 
     def test_k1_n3_generic(self):
         f = Poly.constant(3, 1) + Poly.variable(3, 0) + Poly(3, {(0, 2, 0): 1})
-        err = ball_conjugation_numeric_check(3, 1, f=f)
-        assert err < 1e-6
+        lhs, rhs = ball_conjugation_numeric_check(3, 1, f=f)
+        assert lhs == rhs
 
     def test_k1_n5(self):
         f = Poly.variable(5, 0) * Poly.variable(5, 1) + Poly.constant(5, 2)
-        err = ball_conjugation_numeric_check(5, 1, f=f)
-        assert err < 1e-6
+        lhs, rhs = ball_conjugation_numeric_check(5, 1, f=f)
+        assert lhs == rhs
 
     def test_k2_n4_polynomial_weight(self):
-        # k - n/2 = 0 here, so the inner weight is 1 and the finite
-        # differences act on a plain polynomial
+        # k - n/2 = 0 here, so the inner weight is 1 and the flat
+        # Laplacian acts on a plain polynomial
         f = Poly.constant(4, 1) + Poly.radius_squared(4)
-        err = ball_conjugation_numeric_check(4, 2, f=f)
-        assert err < 1e-7
+        lhs, rhs = ball_conjugation_numeric_check(4, 2, f=f)
+        assert lhs == rhs
 
     def test_k2_n5(self):
-        err = ball_conjugation_numeric_check(5, 2, f=Poly.constant(5, 1))
-        assert err < 1e-4
+        lhs, rhs = ball_conjugation_numeric_check(5, 2, f=Poly.constant(5, 1))
+        assert lhs == rhs
 
     def test_k2_n3(self):
         f = Poly.constant(3, 1) + Poly.variable(3, 1)
-        err = ball_conjugation_numeric_check(3, 2, f=f)
-        assert err < 1e-4
+        lhs, rhs = ball_conjugation_numeric_check(3, 2, f=f)
+        assert lhs == rhs
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (5, 1), (5, 2), (7, 3)])
+    def test_default_f(self, n, k):
+        lhs, rhs = ball_conjugation_numeric_check(n, k)
+        assert lhs == rhs
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (3, 2), (6, 2), (5, 3)])
+    def test_mixed_polynomial(self, n, k):
+        # at (4, 2) the inner weight is 1 and the cubic f has no flat
+        # bilaplacian, so the operator product must vanish on it
+        lhs, rhs = ball_conjugation_numeric_check(n, k, f=_mixed(n))
+        assert lhs == rhs
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (5, 2), (6, 2), (5, 3)])
+    def test_one_operator_short_disagrees(self, n, k):
+        # the check can fail: the flat side of order k is not the
+        # product of k - 1 factors
+        lhs, _ = ball_conjugation_numeric_check(n, k, f=_mixed(n))
+        assert lhs != gjms_operator(_mixed(n), k - 1)
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (5, 1), (5, 2), (6, 2)])
+    def test_weight_off_by_one_disagrees(self, n, k):
+        # a flat side with one extra factor w = (1 - |x|^2)/2, as if the
+        # outer weight exponent were k + n/2 + 1, misses the operator
+        lhs, rhs = ball_conjugation_numeric_check(n, k, f=_mixed(n))
+        w = (Poly.constant(n, 1) - Poly.radius_squared(n)) * Fraction(1, 2)
+        assert rhs != Poly(n)
+        assert lhs * w != rhs
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ball_conjugation_numeric_check(3, 1, f=Poly.constant(4, 1))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, k):
+        with pytest.raises(ValueError):
+            ball_conjugation_numeric_check(3, k)

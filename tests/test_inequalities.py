@@ -759,8 +759,8 @@ class TestConvolutionBound:
 class TestBiharmonicHardyIdentity:
     def test_both_routes_agree(self):
         rep = biharmonic_hardy_identity_check()
-        assert rep.spectral_rel < 1e-6
-        assert rep.quadrature_rel < 1e-3
+        assert rep.spectral_rel < 1e-12
+        assert rep.quadrature_rel < 1e-12
 
     def test_zero_function_trivial(self):
         # both sides of the spectral identity vanish on the zero
